@@ -9,6 +9,7 @@ variable, then 0), so identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import bisect
 import os
 import sys
 from pathlib import Path
@@ -20,11 +21,7 @@ from .alignment import TrainConfig, fit
 from .errors import CardlError, DataError, UsageError
 from .evaluation import evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
-from .records import IMAGE, TEXT
-from .retrieval import DIRECTIONS, IMG2TXT, TXT2IMG, cross_media_search, query_topk
-
-_SOURCE_MODALITY = {TXT2IMG: TEXT, IMG2TXT: IMAGE}
-_TARGET_MODALITY = {TXT2IMG: IMAGE, IMG2TXT: TEXT}
+from .retrieval import DIRECTION_SIDES, DIRECTIONS, TXT2IMG, cross_media_search, query_topk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +166,7 @@ def _cmd_query(args) -> int:
     index = dataio.load_index(args.index)
     model = dataio.load_model(args.model)
     direction = args.direction
-    source = _SOURCE_MODALITY[direction]
+    source, target = DIRECTION_SIDES[direction]
     if args.features:
         records = {r.id: r for r in dataio.load_features(args.features)}
         record = records.get(args.id)
@@ -178,18 +175,17 @@ def _cmd_query(args) -> int:
         results = cross_media_search(model, index, record, args.k, direction)
     else:
         # no raw features given: fall back to the query's stored unified vector
-        try:
-            row = index.ids.index(args.id)
-        except ValueError:
+        row = bisect.bisect_left(index.ids, args.id)  # ids are in ascending order
+        if row == len(index) or index.ids[row] != args.id:
             raise DataError(
                 f"id {args.id!r} not in the index; pass --features with its raw vector"
-            ) from None
+            )
         if index.modalities[row] != source:
             raise UsageError(
                 f"direction {direction} takes a {source} query, but indexed id "
                 f"{args.id!r} is {index.modalities[row]}"
             )
-        results = query_topk(index, index.vectors[row], args.k, _TARGET_MODALITY[direction])
+        results = query_topk(index, index.vectors[row], args.k, target)
     for result in results:
         print(f"{result.rank}\t{result.id}\t{result.score:.6f}")
     return 0

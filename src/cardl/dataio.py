@@ -14,6 +14,7 @@ partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,10 +327,20 @@ def save_index(index: UnifiedIndex, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _vector_as_array(obj: dict) -> dict:
+    """JSON object hook: an entry's vector becomes a float64 array as soon as
+    it is parsed.  A load then never holds every coordinate as a Python
+    float at once, and the document's memory is reused entry by entry
+    instead of staying fragmented while the index lives."""
+    if isinstance(obj.get("vector"), list):
+        obj["vector"] = np.asarray(obj["vector"], dtype=np.float64)
+    return obj
+
+
 def load_index(path: str | Path) -> UnifiedIndex:
     """Reload an index verbatim (no renormalization, so round-trips are exact)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_vector_as_array)
     except OSError as exc:
         raise DataError(f"cannot read index file {path}: {exc}") from exc
     except ValueError as exc:
@@ -353,7 +364,10 @@ def load_index(path: str | Path) -> UnifiedIndex:
                 f"{path}: entry {id_!r}: vector dim {vec.size} does not match "
                 f"declared dimension {dim}"
             )
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        norm = np.linalg.norm(vec)
+        if not math.isfinite(norm):  # NaN would pass the unit-norm test below
+            raise DataError(f"{path}: entry {id_!r}: vector norm is not finite")
+        if abs(norm - 1.0) > 1e-9:
             raise NumericError(f"{path}: entry {id_!r}: stored vector is not unit-norm")
         ids.append(str(id_))
         modalities.append(mod)

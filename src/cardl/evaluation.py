@@ -17,7 +17,13 @@ import numpy as np
 from .alignment import AlignmentModel
 from .errors import DataError, UsageError
 from .records import FeatureRecord
-from .retrieval import DIRECTIONS, UnifiedIndex, cross_media_search
+from .retrieval import (
+    DIRECTION_SIDES,
+    DIRECTIONS,
+    UnifiedIndex,
+    _project_query,
+    query_topk_batch,
+)
 
 # mapping query_id -> set of relevant doc ids
 RelevanceJudgments = dict[str, set[str]]
@@ -94,7 +100,10 @@ def evaluate_retrieval(
     """Run cross-media search for every judged query at each k and aggregate.
 
     Queries are processed in ascending id order so the reduction is
-    deterministic regardless of input order.
+    deterministic regardless of input order.  Each query is projected on its
+    own, as `cross_media_search` does, and all are searched by one batched
+    `query_topk_batch` call, so every run equals that query's
+    `cross_media_search` result.
     """
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
@@ -113,9 +122,10 @@ def evaluate_retrieval(
     if not judged:
         raise DataError(f"zero judged queries for direction {direction}")
 
+    unified = np.array([_project_query(model, record, direction) for record, _ in judged])
+    runs = query_topk_batch(index, unified, max(k_list), DIRECTION_SIDES[direction][1])
     ap_per_query: dict[int, dict[str, float]] = {k: {} for k in k_list}
-    for record, relevant in judged:
-        results = cross_media_search(model, index, record, max(k_list), direction)
+    for (record, relevant), results in zip(judged, runs):
         if not results:
             raise DataError(f"index has no candidates for direction {direction}")
         flags = [r.id in relevant for r in results]

@@ -1,13 +1,35 @@
 """Exact cosine-similarity search over an immutable index of unified vectors.
 
-No approximate structures: every query scans all entries of the requested
-modality, sorts by score (ties broken by ascending id), and returns the
-top-k.  That keeps evaluation honest at desk scale.
+No approximate structures: every query is scored against all entries of
+the requested modality, and the top-k come back in descending score with
+ties broken by ascending id.  Results equal a brute-force reference (one
+`np.dot` per candidate, clipped to [-1, 1], then a full sort) in ids, tie
+order and score bits.
+
+One kernel, `query_topk_batch`, answers a block of queries in three steps:
+
+1. Screen: one BLAS product scores the modality's row span for the whole
+   block (the flat scan of an exact flat index); rows of the other
+   modality inside the span are set to -inf.
+2. Band: the k-th largest screened score t is found with a partition, and
+   every candidate scoring at least t - m is kept.  Any summation order
+   computes x.y within gamma_d * ||x|| * ||y|| of the exact value, where
+   gamma_d = d*u / (1 - d*u) and u is the unit roundoff (Higham, Accuracy
+   and Stability of Numerical Algorithms, section 3.1).  The screen and the
+   reference therefore differ by at most twice that, so with m = 4 *
+   gamma_d * max||row|| * ||q|| (d + 2 in place of d covers the rounding of
+   m and of t - m) no true top-k row, exact ties at the k-th score
+   included, falls outside the band.
+3. Re-score: the band alone is scored again with the reference's per-row
+   `np.dot`, sorted by (-score, id) and cut to k.
+
+`query_topk` is the single-row case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +42,13 @@ IMG2TXT = "img2txt"
 DIRECTIONS = (TXT2IMG, IMG2TXT)
 
 # direction -> (query modality, result modality)
-_DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
+DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
+
+# Cap on one block's screened score matrix (queries x span rows, float64),
+# so that memory does not grow with the number of queries searched at once.
+SCORE_BLOCK_BYTES = 2 << 20
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -63,9 +91,26 @@ class UnifiedIndex:
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
     vectors: np.ndarray  # shape (len(ids), dimension), rows unit-norm
+    # modality -> (lo, hi, offsets in [0, hi - lo) of the other modality's
+    # rows): the row span a search of that modality screens
+    spans: dict[str, tuple[int, int, np.ndarray]] = field(init=False, repr=False, compare=False)
+    max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vectors.setflags(write=False)
+        # row norms without a temporary the size of the matrix
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
+        if not np.isfinite(norms).all():
+            bad = self.ids[int(np.flatnonzero(~np.isfinite(norms))[0])]
+            raise DataError(f"entry {bad!r}: vector has non-finite values")
+        spans = {}
+        for modality in MODALITIES:
+            rows = [i for i, m in enumerate(self.modalities) if m == modality]
+            lo, hi = (rows[0], rows[-1] + 1) if rows else (0, 0)
+            others = [i - lo for i in range(lo, hi) if self.modalities[i] != modality]
+            spans[modality] = (lo, hi, np.array(others, dtype=np.intp))
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "max_norm", float(norms.max(initial=0.0)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -111,6 +156,8 @@ def build_index(items) -> UnifiedIndex:
     for row, (id_, _, vec) in enumerate(triples):
         v = np.asarray(vec, dtype=np.float64)
         norm = np.linalg.norm(v)
+        if not math.isfinite(norm):
+            raise DataError(f"entry {id_!r}: vector norm is not finite")
         if norm == 0.0:
             raise NumericError(f"entry {id_!r} is the zero vector; cannot index")
         vectors[row] = v / norm
@@ -125,29 +172,74 @@ def query_topk(
     index: UnifiedIndex, q: np.ndarray, k: int, filter_modality: str
 ) -> list[RetrievalResult]:
     """Exact top-k among entries of one modality, ties broken by ascending id."""
+    return query_topk_batch(index, np.asarray(q, dtype=np.float64)[None], k, filter_modality)[0]
+
+
+def query_topk_batch(
+    index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
+) -> list[list[RetrievalResult]]:
+    """`query_topk` for every row of `queries`, screened in blocks of rows.
+
+    Each row is normalized on its own, as `query_topk` does, so every row's
+    results are bit-identical to a single-row search.
+    """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if filter_modality not in MODALITIES:
         raise UsageError(f"unknown modality filter {filter_modality!r}")
+    queries = np.asarray(queries, dtype=np.float64)
     if len(index) == 0:
-        return []
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (index.dimension,):
+        return [[] for _ in queries]
+    if queries.ndim != 2 or queries.shape[1] != index.dimension:
         raise DimensionError(
-            f"query dim {q.shape} does not match index dim ({index.dimension},)"
+            f"query dim {queries.shape[1:]} does not match index dim ({index.dimension},)"
         )
-    q = l2_normalize(q)
-    rows = [i for i, m in enumerate(index.modalities) if m == filter_modality]
-    if not rows:
-        return []
-    # one dot per candidate, not a matvec: BLAS reorders accumulation, and
-    # ranking exactness is checked against a per-row reference
-    scores = np.clip([float(np.dot(index.vectors[i], q)) for i in rows], -1.0, 1.0)
-    order = sorted(range(len(rows)), key=lambda i: (-scores[i], index.ids[rows[i]]))
-    return [
-        RetrievalResult(id=index.ids[rows[i]], score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order[:k], start=1)
-    ]
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
+    unit = np.array([l2_normalize(q) for q in queries]).reshape(queries.shape)
+    lo, hi, _ = index.spans[filter_modality]
+    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, hi - lo)))
+    results = []
+    for start in range(0, len(unit), block):
+        results += _topk_block(index, unit[start:start + block], k, filter_modality)
+    return results
+
+
+def _gamma(n: int) -> float:
+    """Bound on the relative rounding error of an n-term float64 dot product."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _topk_block(
+    index: UnifiedIndex, unit: np.ndarray, k: int, filter_modality: str
+) -> list[list[RetrievalResult]]:
+    """Screen, band and re-score one block of finite unit queries (module docstring)."""
+    lo, hi, others = index.spans[filter_modality]
+    candidates = hi - lo - len(others)
+    if candidates == 0:
+        return [[] for _ in unit]
+    screened = unit @ index.vectors[lo:hi].T  # a view of the span: no copy of the index
+    np.clip(screened, -1.0, 1.0, out=screened)
+    screened[:, others] = -np.inf
+    kk = min(k, candidates)
+    kth = np.partition(screened, -kk, axis=1)[:, -kk]
+    margin = 4 * _gamma(index.dimension + 2) * index.max_norm * np.linalg.norm(unit, axis=1)
+    results = []
+    for q, row_scores, floor in zip(unit, screened, kth - margin):
+        # the reference's expression: one np.dot per candidate, then a clip
+        band = sorted(
+            (
+                (min(max(float(np.dot(index.vectors[i], q)), -1.0), 1.0), index.ids[i])
+                for i in lo + np.flatnonzero(row_scores >= floor)
+            ),
+            key=lambda t: (-t[0], t[1]),
+        )
+        results.append(
+            [RetrievalResult(id=id_, score=score, rank=rank)
+             for rank, (score, id_) in enumerate(band[:k], start=1)]
+        )
+    return results
 
 
 def cross_media_search(
@@ -158,13 +250,18 @@ def cross_media_search(
     direction: str,
 ) -> list[RetrievalResult]:
     """Project a raw query through the matching head and search the other modality."""
+    unified = _project_query(model, query, direction)
+    return query_topk(index, unified, k, filter_modality=DIRECTION_SIDES[direction][1])
+
+
+def _project_query(model: AlignmentModel, query: FeatureRecord, direction: str) -> np.ndarray:
+    """The unified vector of a raw query for a direction, projected as a single row."""
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    source, target = _DIRECTION_SIDES[direction]
+    source = DIRECTION_SIDES[direction][0]
     if query.modality != source:
         raise UsageError(
             f"direction {direction} takes a {source} query, got modality "
             f"{query.modality!r} (id {query.id!r})"
         )
-    unified = project(model.head_for(source), query.vector[None, :], ids=[query.id])[0]
-    return query_topk(index, unified, k, filter_modality=target)
+    return project(model.head_for(source), query.vector[None, :], ids=[query.id])[0]

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from cardl.alignment import linear_model
 from cardl.cli import cli_main
-from cardl.dataio import load_features, load_index, load_model, load_report
+from cardl.dataio import load_features, load_index, load_model, load_report, save_index, save_model
+from cardl.retrieval import build_index
 
 
 @pytest.fixture()
@@ -275,3 +277,17 @@ def test_pairhead_train_runs(synth_dir, tmp_path, capsys):
 
     head = load_pair_head(out)
     assert head.embedding_dim == 12
+
+
+def test_query_by_indexed_id_finds_only_exact_ids(tmp_path, capsys):
+    index_path, model_path = tmp_path / "index.json", tmp_path / "model.json"
+    save_index(build_index([("a", "text", [1.0, 0.0]), ("c", "text", [0.6, 0.8]),
+                            ("d", "image", [1.0, 0.0]), ("f", "image", [0.0, 1.0])]), index_path)
+    save_model(linear_model(np.eye(2), np.eye(2)), model_path)
+    base = ["query", "--index", index_path, "--model", model_path, "--direction", "txt2img"]
+    assert run(base + ["--id", "c"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["1\tf\t0.800000", "2\td\t0.600000"]
+    # absent ids before, between and after the indexed ones are data errors
+    for absent in ("0", "b", "cc", "z"):
+        assert run(base + ["--id", absent]) == 2
+        assert f"id '{absent}' not in the index" in capsys.readouterr().err

@@ -424,3 +424,15 @@ def test_unified_records_dim_check():
     model = oracle_model(generate_synthetic(SyntheticConfig(clusters=2, pairs_per_cluster=2, text_dim=6, image_dim=7, latent_dim=2)))
     with pytest.raises(DataError, match="wrong"):
         unified_records(model, [FeatureRecord("wrong", "text", np.ones(9))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_index_load_rejects_non_finite_rows_by_id(tmp_path, bad):
+    index = build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))])
+    path = tmp_path / "i.json"
+    save_index(index, path)
+    doc = json.loads(path.read_text())
+    doc["entries"][1]["vector"] = [bad, 0.0]
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    with pytest.raises(DataError, match="'b'.*not finite"):
+        load_index(path)

@@ -1,11 +1,14 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardl.alignment import linear_model
+from cardl import retrieval
+from cardl.alignment import linear_model, random_projection_model
+from cardl.dataio import SyntheticConfig, generate_synthetic, unified_records
 from cardl.errors import DataError, UsageError
 from cardl.evaluation import (
     AP_CONVENTION,
@@ -16,7 +19,7 @@ from cardl.evaluation import (
     precision_at,
 )
 from cardl.records import FeatureRecord
-from cardl.retrieval import build_index
+from cardl.retrieval import build_index, cross_media_search
 
 
 def ap_oracle(flags, total_relevant):
@@ -223,3 +226,25 @@ def test_evaluate_img2txt_uses_image_queries():
     qrels = {"i0": {"t0"}, "i1": {"t1"}}
     rep = evaluate_retrieval(model, index, images, qrels, k_list=(1,), direction="img2txt")
     assert rep.map_at[1] == 1.0
+
+
+@pytest.mark.parametrize("direction", ["txt2img", "img2txt"])
+def test_evaluate_equals_per_query_cross_media_search(direction):
+    ds = generate_synthetic(
+        SyntheticConfig(clusters=4, pairs_per_cluster=30, text_dim=12, image_dim=16,
+                        latent_dim=4, noise_sigma=0.5, seed=3, same_cluster_relevant=True)
+    )
+    model = random_projection_model(12, 16, unified_dim=6, seed=1)
+    index = build_index(unified_records(model, ds.text_records + ds.image_records))
+    queries = ds.text_records if direction == "txt2img" else ds.image_records
+    k_list = (1, 5, 10)
+    # a score block of 7 rows: 120 queries run as 17 full blocks and one short one
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * 120 * 7):
+        rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=k_list, direction=direction)
+    assert rep.evaluated == len(queries)
+    for record in queries:
+        results = cross_media_search(model, index, record, max(k_list), direction)
+        relevant = ds.qrels[record.id]
+        flags = [r.id in relevant for r in results]
+        for k in k_list:
+            assert rep.ap_per_query[k][record.id] == average_precision(flags[:k], len(relevant))

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardl import retrieval
 from cardl.alignment import linear_model, project
 from cardl.errors import DataError, DimensionError, NumericError, UsageError
 from cardl.records import FeatureRecord
@@ -15,6 +18,7 @@ from cardl.retrieval import (
     cross_media_search,
     l2_normalize,
     query_topk,
+    query_topk_batch,
 )
 
 
@@ -256,3 +260,105 @@ def test_unified_index_len_and_dimension():
     assert len(idx) == 5
     assert idx.dimension == 7
     assert isinstance(idx, UnifiedIndex)
+
+
+# ------------------------------------------------------ batched top-k kernel --
+
+def full_sort_hex(index, q, modality):
+    """Per-row brute force: one np.dot per candidate, clipped, full sort by (-score, id)."""
+    qn = np.asarray(q, dtype=np.float64)
+    qn = qn / np.linalg.norm(qn)
+    scored = sorted(
+        (
+            (min(max(float(np.dot(index.vectors[i], qn)), -1.0), 1.0), index.ids[i])
+            for i in range(len(index))
+            if index.modalities[i] == modality
+        ),
+        key=lambda t: (-t[0], t[1]),
+    )
+    return [(rank, id_, score.hex()) for rank, (score, id_) in enumerate(scored, start=1)]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2000, 2400),
+    dim=st.sampled_from([2, 3, 8, 64]),
+    interleaved=st.booleans(),
+    k=st.integers(1, 30),
+    block_rows=st.integers(1, 4),
+    n_queries=st.integers(1, 7),
+)
+@settings(max_examples=25, deadline=None)
+def test_batched_topk_equals_per_row_full_sort(seed, n, dim, interleaved, k, block_rows, n_queries):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, dim))
+    # forced exact ties: power-of-two rescalings normalize to identical rows
+    for src in rng.choice(n, 20, replace=False):
+        for dst, scale in zip(rng.choice(n, 2, replace=False), (2.0, 0.5)):
+            vectors[dst] = vectors[src] * scale
+    if interleaved:
+        modalities = rng.choice(["text", "image"], size=n)
+    else:  # one contiguous run per modality, and a text side of only 3 entries
+        modalities = ["text" if i < 3 else "image" for i in range(n)]
+    index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
+    queries = rng.normal(size=(n_queries, dim))
+    queries[0] = vectors[int(rng.integers(n))]  # on an indexed direction: a score near 1
+    for modality in ("text", "image"):
+        lo, hi, _ = index.spans[modality]
+        # shrink the score block so query blocks straddle the block boundary
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, hi - lo) * block_rows):
+            batched = query_topk_batch(index, queries, k, modality)
+        assert len(batched) == n_queries
+        for q, got in zip(queries, batched):
+            expected = full_sort_hex(index, q, modality)[:k]
+            assert [(r.rank, r.id, r.score.hex()) for r in got] == expected
+            single = query_topk(index, q, k, modality)
+            assert [(r.rank, r.id, r.score.hex()) for r in single] == expected
+
+
+def test_batched_topk_on_a_modality_with_no_entries():
+    idx = build_index([(f"i{k}", "image", v) for k, v in enumerate(np.eye(3))])
+    assert query_topk_batch(idx, np.ones((2, 3)), 10, "text") == [[], []]
+
+
+def test_index_spans_cover_each_modality():
+    idx = build_index([("a", "text", [1.0, 0.0]), ("b", "image", [0.0, 1.0]), ("c", "text", [1.0, 1.0])])
+    lo, hi, others = idx.spans["text"]
+    assert (lo, hi, others.tolist()) == (0, 3, [1])
+    lo, hi, others = idx.spans["image"]
+    assert (lo, hi, others.tolist()) == (1, 2, [])
+
+
+def test_non_finite_query_is_a_numeric_error():
+    idx = build_index(make_items(6, 3, seed=4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            query_topk(idx, np.array([1.0, bad, 0.0]), 3, "text")
+    queries = np.ones((3, 3))
+    queries[2, 1] = np.nan
+    with pytest.raises(NumericError, match="row 2"):
+        query_topk_batch(idx, queries, 3, "image")
+
+
+def test_build_index_rejects_non_finite_vectors_by_id():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="'b'"):
+            build_index([("a", "text", np.ones(2)), ("b", "image", np.array([bad, 1.0]))])
+    with pytest.raises(DataError, match="'b'"):
+        UnifiedIndex(ids=("a", "b"), modalities=("text", "image"),
+                     vectors=np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_topk_resolves_rounding_near_ties_exactly(seed):
+    # permutations of one vector score the same in exact arithmetic against
+    # the all-ones query; the screen and the per-row reference round them
+    # differently, so only a wide enough band returns the reference's order
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=64)
+    idx = build_index([(f"p{j:03d}", "image", rng.permutation(x)) for j in range(300)])
+    q = np.ones(64)
+    expected = full_sort_hex(idx, q, "image")
+    for k in (1, 3, 10):
+        for got in query_topk_batch(idx, np.tile(q, (3, 1)), k, "image"):
+            assert [(r.rank, r.id, r.score.hex()) for r in got] == expected[:k]
