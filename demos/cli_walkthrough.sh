@@ -28,8 +28,7 @@ cardl index --vectors "$WORK/unified.jsonl" --out "$WORK/index.json"
 
 echo
 echo "top-5 images for text query t0000:"
-cardl query --index "$WORK/index.json" --model "$WORK/model.json" \
-  --id t0000 --direction txt2img --k 5
+cardl query --index "$WORK/index.json" --id t0000 --direction txt2img --k 5
 
 echo
 cardl eval --index "$WORK/index.json" --model "$WORK/model.json" \

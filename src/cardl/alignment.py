@@ -10,7 +10,7 @@ total loss is their exact sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -135,38 +135,6 @@ class AlignmentModel:
         return self.text_head if modality == TEXT else self.image_head
 
 
-@dataclass
-class BatchTargets:
-    """Target distribution y and predicted distribution p for one batch.
-
-    Rows of both matrices are probability distributions; n counts the batch
-    images, m the in-batch text candidates.
-    """
-
-    y: np.ndarray
-    p: np.ndarray
-    n: int = field(init=False)
-    m: int = field(init=False)
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.float64)
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if self.y.shape != self.p.shape:
-            raise DimensionError(f"y shape {self.y.shape} != p shape {self.p.shape}")
-        self.n, self.m = self.y.shape
-        row_sums = self.y.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-12, rtol=0):
-            raise DataError("every target row must sum to 1")
-        if not np.all((self.y > 0).any(axis=1)):
-            raise DataError("every target row needs at least one positive entry")
-        if not np.allclose(self.p.sum(axis=1), 1.0, atol=1e-12, rtol=0):
-            raise DataError("every predicted row must sum to 1 (softmax output expected)")
-
-    @classmethod
-    def from_logits(cls, logits: np.ndarray, y: np.ndarray) -> "BatchTargets":
-        return cls(y=y, p=stable_softmax(logits, axis=1))
-
-
 def normalize_rows(matrix: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
     """L2-normalize each row; a zero row is a hard numeric failure."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -213,14 +181,13 @@ def batch_targets(labels: Sequence[str | None]) -> np.ndarray:
     Item j is a positive for anchor i when i == j, or when both carry the
     same non-None label.  Each row spreads its mass uniformly.
     """
-    n = len(labels)
-    y = np.eye(n)
-    for i in range(n):
-        if labels[i] is None:
-            continue
-        for j in range(n):
-            if labels[j] == labels[i]:
-                y[i, j] = 1.0
+    codes: dict[str, int] = {}
+    # equal codes mark positives; an unlabelled item gets a code of its own
+    tags = np.array([
+        -1 - i if label is None else codes.setdefault(label, len(codes))
+        for i, label in enumerate(labels)
+    ])
+    y = (tags[:, None] == tags[None, :]).astype(np.float64)
     return y / y.sum(axis=1, keepdims=True)
 
 
@@ -391,16 +358,8 @@ def fit(
                 ) from exc
             if not np.isfinite(losses[2]):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-            new_txt, state_txt = adam_step(model.text_head, g_txt, state_txt, adam)
-            new_img, state_img = adam_step(model.image_head, g_img, state_img, adam)
-            model = AlignmentModel(
-                text_head=new_txt,
-                image_head=new_img,
-                unified_dim=model.unified_dim,
-                temperature=model.temperature,
-                text_input_dim=model.text_input_dim,
-                image_input_dim=model.image_input_dim,
-            )
+            adam_step(model.text_head, g_txt, state_txt, adam)  # in place
+            adam_step(model.image_head, g_img, state_img, adam)
             batch_losses.append(losses[2])
         history.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
     return model, history

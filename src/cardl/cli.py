@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .alignment import TrainConfig, fit
+from .alignment import _SEED_MASK, TrainConfig, fit
 from .errors import CardlError, DataError, UsageError
 from .evaluation import evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
@@ -114,7 +114,7 @@ def _cmd_pairhead_train(args) -> int:
     by_id = {r.id: r for r in records}
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=set(by_id))
     seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(seed & ((1 << 64) - 1))
+    rng = np.random.default_rng(seed & _SEED_MASK)
     examples = [
         PairExample(by_id[p.text_id].vector, by_id[p.image_id].vector, relevant=True)
         for p in pairs
@@ -163,11 +163,13 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.features and not args.model:
+        raise UsageError("--features needs --model to project the raw query")
     index = dataio.load_index(args.index)
-    model = dataio.load_model(args.model)
     direction = args.direction
     source, target = DIRECTION_SIDES[direction]
     if args.features:
+        model = dataio.load_model(args.model)
         records = {r.id: r for r in dataio.load_features(args.features)}
         record = records.get(args.id)
         if record is None:
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="top-k cross-media search for one query id")
     p.add_argument("--index", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", default=None, help="projects the --features query; read only with --features")
     p.add_argument("--id", required=True)
     p.add_argument("--direction", required=True, choices=DIRECTIONS)
     p.add_argument("--k", type=int, default=10)

@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentModel, PairedExample, TrainConfig, linear_model
-from .errors import DataError, NumericError, UsageError
+from .alignment import _SEED_MASK, AlignmentModel, PairedExample, TrainConfig, linear_model
+from .errors import DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import LinearLayer, MlpParams
 from .pairhead import PairHead
@@ -41,8 +41,6 @@ ENCODER_NOTES = {
     "text": "precomputed by an external language-model encoder",
     "image": "precomputed by an external CNN encoder (256x256 input convention)",
 }
-
-_SEED_MASK = (1 << 64) - 1
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -219,8 +217,10 @@ def _layers_from_json(obj, where: str) -> MlpParams:
         layers.append(LinearLayer(weight, bias))
     try:
         return MlpParams(layers)
-    except Exception as exc:
+    except DimensionError as exc:
         raise DataError(f"{where}: inconsistent layer shapes: {exc}") from exc
+    except NumericError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def save_model(
@@ -278,8 +278,8 @@ def load_model(path: str | Path) -> AlignmentModel:
     _check_version(doc, MODEL_FORMAT_VERSION, path)
     try:
         return AlignmentModel(
-            text_head=_layers_from_json(doc["text_head"], "text_head"),
-            image_head=_layers_from_json(doc["image_head"], "image_head"),
+            text_head=_layers_from_json(doc["text_head"], f"{path}: text_head"),
+            image_head=_layers_from_json(doc["image_head"], f"{path}: image_head"),
             unified_dim=int(doc["unified_dim"]),
             temperature=float(doc["temperature"]),
             text_input_dim=int(doc["text_input_dim"]),
@@ -308,7 +308,7 @@ def load_pair_head(path: str | Path) -> PairHead:
     except ValueError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     _check_version(doc, PAIRHEAD_FORMAT_VERSION, path)
-    return PairHead(_layers_from_json(doc.get("mlp"), "pair head"))
+    return PairHead(_layers_from_json(doc.get("mlp"), f"{path}: pair head"))
 
 
 # -------------------------------------------------------------------- index --

@@ -2,13 +2,15 @@
 built on top of it: stable softmax, doubly-averaged cross-entropy, Adam, and
 a central-difference gradient oracle for testing.
 
-Everything here is float64, pure, and deterministic: functions never mutate
-their inputs and hold no global state.
+Everything here is float64 and deterministic, and holds no global state.
+Each MLP keeps its parameters in one contiguous vector (`MlpParams.flat`)
+that its layers view.  `adam_step` updates that vector and the optimizer
+state in place; every other function leaves its inputs unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,9 +53,17 @@ class LinearLayer:
 
 @dataclass
 class MlpParams:
-    """A rectifier MLP: ReLU after every layer except the last (linear) one."""
+    """A rectifier MLP: ReLU after every layer except the last (linear) one.
+
+    All parameters live in one contiguous vector, `flat`: each layer's
+    weight (row-major), then its bias, layer by layer.  The arrays of
+    `layers` are views of it, so an in-place update of `flat` is seen
+    through them.  Construction copies the given arrays into a fresh `flat`
+    and refuses non-finite values.
+    """
 
     layers: list[LinearLayer]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -65,6 +75,11 @@ class MlpParams:
                     f"layer {k} expects input dim {cur.in_dim} but layer {k - 1} "
                     f"produces {prev.out_dim}"
                 )
+        self.flat = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
+        views = _layer_views(self.flat, self.layers)
+        if not np.isfinite(self.flat).all():
+            raise NumericError(f"non-finite parameter at layer {_first_non_finite(views)}")
+        self.layers = [LinearLayer(w, b) for w, b in views]
 
     @property
     def input_dim(self) -> int:
@@ -75,7 +90,28 @@ class MlpParams:
         return self.layers[-1].out_dim
 
     def copy(self) -> "MlpParams":
-        return MlpParams([LinearLayer(l.weight.copy(), l.bias.copy()) for l in self.layers])
+        return MlpParams(self.layers)  # construction copies into a new flat vector
+
+
+def _layer_views(
+    flat: np.ndarray, layers: Sequence[LinearLayer]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of `flat`, shaped like `layers`, in the MlpParams.flat layout."""
+    views, i = [], 0
+    for layer in layers:
+        out_dim, in_dim = layer.weight.shape
+        w = flat[i : i + out_dim * in_dim].reshape(out_dim, in_dim)
+        i += out_dim * in_dim
+        views.append((w, flat[i : i + out_dim]))
+        i += out_dim
+    return views
+
+
+def _first_non_finite(pairs) -> int:
+    """Index of the first (weight, bias) pair holding a non-finite value."""
+    return next(
+        k for k, pair in enumerate(pairs) if not all(np.isfinite(a).all() for a in pair)
+    )
 
 
 def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -210,18 +246,20 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates; shapes mirror the MlpParams exactly."""
+    """Moment estimates laid out like MlpParams.flat, plus the step count."""
 
-    first_moment: GradientSet
-    second_moment: GradientSet
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
+    # two work vectors of the same size, reused by every step
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "AdamState":
-        zeros = lambda: [
-            (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers
-        ]
-        return cls(first_moment=zeros(), second_moment=zeros(), step_count=0)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -230,40 +268,39 @@ def adam_step(
     state: AdamState,
     config: AdamConfig = AdamConfig(),
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update.  Pure: returns fresh params and state."""
-    if len(grads) != len(params.layers):
-        raise DimensionError(
-            f"got {len(grads)} gradient layers for {len(params.layers)} parameter layers"
-        )
+    """One bias-corrected Adam update of params.flat and `state`, in place;
+    returns the same two objects.  Each coordinate takes, in this order,
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    w -= (lr * (m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps),
+    rounded exactly as a per-layer loop of the same expressions."""
+    shapes = [a.shape for layer in params.layers for a in (layer.weight, layer.bias)]
+    if [np.shape(a) for pair in grads for a in pair] != shapes:
+        raise DimensionError(f"gradient shapes do not match parameter shapes {shapes}")
+    if not state.first_moment.shape == state.second_moment.shape == params.flat.shape:
+        raise DimensionError(f"optimizer state does not match {params.flat.size} parameters")
+    g = flatten_grads(grads)
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient at layer {_first_non_finite(grads)}")
     t = state.step_count + 1
     b1, b2 = config.beta1, config.beta2
-    new_layers = []
-    new_m: GradientSet = []
-    new_v: GradientSet = []
-    for k, (layer, (gw, gb)) in enumerate(zip(params.layers, grads)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericError(f"non-finite gradient at layer {k}")
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise DimensionError(
-                f"layer {k}: gradient shapes {gw.shape}/{gb.shape} do not match "
-                f"parameter shapes {layer.weight.shape}/{layer.bias.shape}"
-            )
-        mw, mb = state.first_moment[k]
-        vw, vb = state.second_moment[k]
-        mw = b1 * mw + (1 - b1) * gw
-        mb = b1 * mb + (1 - b1) * gb
-        vw = b2 * vw + (1 - b2) * gw**2
-        vb = b2 * vb + (1 - b2) * gb**2
-        mw_hat = mw / (1 - b1**t)
-        mb_hat = mb / (1 - b1**t)
-        vw_hat = vw / (1 - b2**t)
-        vb_hat = vb / (1 - b2**t)
-        w = layer.weight - config.learning_rate * mw_hat / (np.sqrt(vw_hat) + config.epsilon)
-        b = layer.bias - config.learning_rate * mb_hat / (np.sqrt(vb_hat) + config.epsilon)
-        new_layers.append(LinearLayer(w, b))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    return MlpParams(new_layers), AdamState(new_m, new_v, t)
+    c1, c2 = 1 - b1**t, 1 - b2**t
+    m, v = state.first_moment, state.second_moment
+    s, r = state.scratch
+    m *= b1
+    m += np.multiply(1 - b1, g, out=s)
+    v *= b2
+    np.square(g, out=s)
+    s *= 1 - b2
+    v += s
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += config.epsilon
+    np.divide(m, c1, out=r)
+    r *= config.learning_rate
+    r /= s
+    params.flat -= r
+    state.step_count = t
+    return params, state
 
 
 def finite_diff_grad(
@@ -287,39 +324,22 @@ def finite_diff_grad(
     return grad
 
 
-# --- flat-vector views, used by the finite-difference checks -----------------
+# --- flat vectors, used by the finite-difference checks -----------------------
 
 def flatten_params(params: MlpParams) -> np.ndarray:
-    parts = []
-    for layer in params.layers:
-        parts.append(layer.weight.ravel())
-        parts.append(layer.bias.ravel())
-    return np.concatenate(parts)
+    return params.flat.copy()
 
 
 def unflatten_params(template: MlpParams, vec: np.ndarray) -> MlpParams:
+    """New parameters shaped like `template`, copied from a vector in its flat layout."""
     vec = np.asarray(vec, dtype=np.float64)
-    layers = []
-    i = 0
-    for layer in template.layers:
-        wn = layer.weight.size
-        w = vec[i : i + wn].reshape(layer.weight.shape)
-        i += wn
-        bn = layer.bias.size
-        b = vec[i : i + bn].copy()
-        i += bn
-        layers.append(LinearLayer(w, b))
-    if i != vec.size:
-        raise DimensionError(f"vector has {vec.size} entries, template needs {i}")
-    return MlpParams(layers)
+    if vec.shape != template.flat.shape:
+        raise DimensionError(f"vector has {vec.size} entries, template needs {template.flat.size}")
+    return MlpParams([LinearLayer(w, b) for w, b in _layer_views(vec, template.layers)])
 
 
 def flatten_grads(grads: GradientSet) -> np.ndarray:
-    parts = []
-    for gw, gb in grads:
-        parts.append(gw.ravel())
-        parts.append(gb.ravel())
-    return np.concatenate(parts)
+    return np.concatenate([np.ravel(a) for pair in grads for a in pair])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

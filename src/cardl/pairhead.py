@@ -111,7 +111,7 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
             loss, grads = pair_loss_and_grads(mlp, features[idx], targets[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite pair loss at epoch {epoch}, batch {b}")
-            mlp, state = adam_step(mlp, grads, state, adam)
+            adam_step(mlp, grads, state, adam)  # in place
     return PairHead(mlp)
 
 

@@ -28,7 +28,6 @@ One kernel, `query_topk_batch`, answers a block of queries in three steps:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +48,22 @@ DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 SCORE_BLOCK_BYTES = 2 << 20
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Below this norm, v.v is near or in the subnormal range and has lost bits.
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """v / ||v||.  When ||v|| = sqrt(v.v) is below _NORM_FLOOR or overflows
+    to inf although v is finite and nonzero, v is first divided by max|v|.
+    numpy still warns of such an overflow unless the caller suppresses
+    floating-point errors."""
     v = np.asarray(v, dtype=np.float64)
     norm = np.linalg.norm(v)
+    if norm < _NORM_FLOOR or norm == np.inf:
+        scale = np.abs(v).max(initial=0.0)
+        if 0.0 < scale < np.inf:
+            v = v / scale
+            norm = np.linalg.norm(v)
     if norm == 0.0:
         raise NumericError("cannot normalize the zero vector (cosine undefined)")
     return v / norm
@@ -153,14 +163,13 @@ def build_index(items) -> UnifiedIndex:
     if not triples:
         return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
     vectors = np.empty((len(triples), dim))
-    for row, (id_, _, vec) in enumerate(triples):
-        v = np.asarray(vec, dtype=np.float64)
-        norm = np.linalg.norm(v)
-        if not math.isfinite(norm):
-            raise DataError(f"entry {id_!r}: vector norm is not finite")
-        if norm == 0.0:
-            raise NumericError(f"entry {id_!r} is the zero vector; cannot index")
-        vectors[row] = v / norm
+    # a non-finite entry yields a non-finite row, which UnifiedIndex refuses by id
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (id_, _, vec) in enumerate(triples):
+            try:
+                vectors[row] = l2_normalize(vec)
+            except NumericError:
+                raise NumericError(f"entry {id_!r} is the zero vector; cannot index") from None
     return UnifiedIndex(
         ids=tuple(t[0] for t in triples),
         modalities=tuple(t[1] for t in triples),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cardl.alignment import (
     AlignmentModel,
-    BatchTargets,
     PairedExample,
     TrainConfig,
     alignment_gradients,
@@ -178,6 +177,26 @@ def test_batch_targets_groups_shared_labels():
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
 
 
+def loop_batch_targets(labels):
+    # the reference: anchor i and item j are positives when i == j or they share a label
+    n = len(labels)
+    y = np.eye(n)
+    for i in range(n):
+        if labels[i] is None:
+            continue
+        for j in range(n):
+            if labels[j] == labels[i]:
+                y[i, j] = 1.0
+    return y / y.sum(axis=1, keepdims=True)
+
+
+@given(st.lists(st.sampled_from([None, "a", "b", "c", ""]), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_batch_targets_equals_the_pairwise_loop_bit_for_bit(labels):
+    got, expected = batch_targets(labels), loop_batch_targets(labels)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_transpose_targets_renormalizes():
     y = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
     yt = transpose_targets(y)
@@ -194,16 +213,6 @@ def test_transpose_targets_rejects_orphan_column():
     y = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DataError):
         transpose_targets(y)
-
-
-def test_batch_targets_validation_via_dataclass():
-    with pytest.raises(DataError):
-        BatchTargets(y=np.array([[0.5, 0.4]]), p=np.array([[0.5, 0.5]]))
-    with pytest.raises(DimensionError):
-        BatchTargets(y=np.eye(2), p=np.ones((3, 3)) / 3)
-    bt = BatchTargets.from_logits(np.zeros((2, 2)), np.eye(2))
-    assert bt.n == bt.m == 2
-    assert np.allclose(bt.p, 0.25 * np.ones((2, 2)) * 2, atol=1e-12)
 
 
 # ------------------------------------------------------------------- loss --

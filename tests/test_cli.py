@@ -291,3 +291,27 @@ def test_query_by_indexed_id_finds_only_exact_ids(tmp_path, capsys):
     for absent in ("0", "b", "cc", "z"):
         assert run(base + ["--id", absent]) == 2
         assert f"id '{absent}' not in the index" in capsys.readouterr().err
+
+
+def test_query_by_indexed_id_needs_no_model(tmp_path, capsys):
+    index_path, model_path = tmp_path / "index.json", tmp_path / "model.json"
+    save_index(build_index([("a", "text", [1.0, 0.0]), ("c", "text", [0.6, 0.8]),
+                            ("d", "image", [1.0, 0.0]), ("f", "image", [0.0, 1.0])]), index_path)
+    save_model(linear_model(np.eye(2), np.eye(2)), model_path)
+    base = ["query", "--index", index_path, "--id", "c", "--direction", "txt2img"]
+    assert run(base + ["--model", model_path]) == 0
+    with_model = capsys.readouterr().out
+    assert run(base) == 0
+    assert capsys.readouterr().out == with_model == "1\tf\t0.800000\n2\td\t0.600000\n"
+    # a model is read only to project raw features, so an unreadable one is not opened
+    assert run(base + ["--model", tmp_path / "missing.json"]) == 0
+    capsys.readouterr()
+
+
+def test_query_with_features_needs_a_model(synth_dir, tmp_path, capsys):
+    index_path = tmp_path / "index.json"
+    save_index(build_index([("t0000", "text", [1.0, 0.0]), ("i0000", "image", [0.0, 1.0])]), index_path)
+    rc = run(["query", "--index", index_path, "--id", "t0000", "--direction", "txt2img",
+              "--features", synth_dir / "text_features.jsonl"])
+    assert rc == 1
+    assert "--features needs --model" in capsys.readouterr().err

@@ -27,7 +27,8 @@ from cardl.dataio import (
 )
 from cardl.errors import DataError, NumericError, UsageError
 from cardl.evaluation import AP_CONVENTION, EvalReport
-from cardl.pairhead import PairExample, fit_pair_head, predict_pair
+from cardl.nn import init_mlp
+from cardl.pairhead import PairExample, PairHead, fit_pair_head, predict_pair
 from cardl.records import FeatureRecord
 from cardl.retrieval import build_index
 
@@ -424,6 +425,32 @@ def test_unified_records_dim_check():
     model = oracle_model(generate_synthetic(SyntheticConfig(clusters=2, pairs_per_cluster=2, text_dim=6, image_dim=7, latent_dim=2)))
     with pytest.raises(DataError, match="wrong"):
         unified_records(model, [FeatureRecord("wrong", "text", np.ones(9))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_model_load_rejects_non_finite_weights_naming_file_head_and_layer(tmp_path, bad):
+    texts, images = small_records()
+    pairs = [PairedExample(f"t{k}", f"i{k}") for k in range(4)]
+    model, _ = fit(texts, images, pairs, TrainConfig(epochs=0, hidden_dims=(4,), unified_dim=2))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["image_head"][1]["weight"][0][1] = bad
+    path.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    with pytest.raises(DataError, match=r"m\.json: image_head: non-finite parameter at layer 1"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_pair_head_load_rejects_non_finite_weights(tmp_path, bad):
+    head = PairHead(init_mlp([8, 4, 1], np.random.default_rng(0)))
+    path = tmp_path / "h.json"
+    save_pair_head(head, path)
+    doc = json.loads(path.read_text())
+    doc["mlp"][0]["weight"][2][5] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"h\.json: pair head: non-finite parameter at layer 0"):
+        load_pair_head(path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

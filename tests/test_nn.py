@@ -237,20 +237,75 @@ def test_adam_first_step_magnitude():
     assert state.step_count == 1
 
 
-def test_adam_is_pure_and_deterministic():
+def test_adam_updates_in_place_and_deterministically():
     rng = np.random.default_rng(5)
     mlp = init_mlp([3, 4, 2], rng)
-    before = [layer.weight.copy() for layer in mlp.layers]
-    grads = [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in mlp.layers]
+    twin = mlp.copy()
+    assert twin.flat is not mlp.flat
+    states = [AdamState.zeros_like(mlp), AdamState.zeros_like(twin)]
+    before = mlp.flat.copy()
     cfg = AdamConfig()
-    out1, st1 = adam_step(mlp, grads, AdamState.zeros_like(mlp), cfg)
-    out2, st2 = adam_step(mlp, grads, AdamState.zeros_like(mlp), cfg)
-    for layer, orig in zip(mlp.layers, before):
-        assert np.array_equal(layer.weight, orig)
-    for a, b in zip(out1.layers, out2.layers):
-        assert np.array_equal(a.weight, b.weight)
-        assert np.array_equal(a.bias, b.bias)
-    assert st1.step_count == st2.step_count == 1
+    for _ in range(3):
+        grads = [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in mlp.layers]
+        out, st = adam_step(mlp, grads, states[0], cfg)
+        assert out is mlp and st is states[0]
+        adam_step(twin, grads, states[1], cfg)
+        assert mlp.flat.tobytes() == twin.flat.tobytes()
+    assert not np.array_equal(mlp.flat, before)
+    assert states[0].step_count == states[1].step_count == 3
+
+
+def textbook_adam(layers, grad_steps, cfg):
+    """Per-layer, per-array Adam as written in Kingma & Ba, one fresh array per operation."""
+    params = [[l.weight.copy(), l.bias.copy()] for l in layers]
+    m = [[np.zeros_like(a) for a in pair] for pair in params]
+    v = [[np.zeros_like(a) for a in pair] for pair in params]
+    b1, b2 = cfg.beta1, cfg.beta2
+    for t, grads in enumerate(grad_steps, start=1):
+        for k, pair in enumerate(grads):
+            for i, g in enumerate(pair):
+                m[k][i] = b1 * m[k][i] + (1 - b1) * g
+                v[k][i] = b2 * v[k][i] + (1 - b2) * g**2
+                m_hat = m[k][i] / (1 - b1**t)
+                v_hat = v[k][i] / (1 - b2**t)
+                params[k][i] = params[k][i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return np.concatenate([a.ravel() for pair in params for a in pair])
+
+
+@pytest.mark.parametrize("dims", [[3, 5, 2], [2, 6, 6, 1]])
+def test_flat_adam_equals_textbook_per_layer_adam_bit_for_bit(dims):
+    rng = np.random.default_rng(len(dims))
+    mlp = init_mlp(dims, rng)
+    mlp.flat[:] = rng.normal(size=mlp.flat.size)  # nonzero biases too
+    cfg = AdamConfig(learning_rate=3e-2)
+    grad_steps = []
+    for _ in range(5):
+        flat = rng.normal(size=mlp.flat.size) * 10.0 ** rng.integers(-6, 3, size=mlp.flat.size)
+        grad_steps.append([(l.weight, l.bias) for l in unflatten_params(mlp, flat).layers])
+    expected = textbook_adam(mlp.layers, grad_steps, cfg)
+    state = AdamState.zeros_like(mlp)
+    for grads in grad_steps:
+        adam_step(mlp, grads, state, cfg)
+    assert mlp.flat.tobytes() == expected.tobytes()
+
+
+def test_layers_are_views_of_the_flat_vector():
+    mlp = init_mlp([3, 5, 2], np.random.default_rng(2))
+    assert mlp.flat.size == 3 * 5 + 5 + 5 * 2 + 2 and mlp.flat.flags.c_contiguous
+    for layer in mlp.layers:
+        assert np.shares_memory(layer.weight, mlp.flat) and np.shares_memory(layer.bias, mlp.flat)
+    mlp.flat[:] = np.arange(mlp.flat.size)
+    assert mlp.layers[0].weight[1, 0] == 3.0 and mlp.layers[0].bias[0] == 15.0
+    assert mlp.layers[1].weight[0, 0] == 20.0 and mlp.layers[1].bias[-1] == 31.0
+    mlp.layers[1].bias[0] = -1.0
+    assert mlp.flat[30] == -1.0
+
+
+def test_mlp_params_refuse_non_finite_values_naming_the_layer():
+    for bad in (np.nan, np.inf, -np.inf):
+        layers = [LinearLayer(np.ones((2, 2)), np.zeros(2)), LinearLayer(np.ones((1, 2)), np.array([bad]))]
+        with pytest.raises(NumericError, match="layer 1"):
+            MlpParams(layers)
 
 
 def test_adam_rejects_nonfinite_gradient():
@@ -258,6 +313,13 @@ def test_adam_rejects_nonfinite_gradient():
     grads = [(np.array([[np.nan]]), np.array([0.0]))]
     with pytest.raises(NumericError, match="layer 0"):
         adam_step(mlp, grads, AdamState.zeros_like(mlp), AdamConfig())
+    two = init_mlp([2, 2, 1], np.random.default_rng(0))
+    before = two.flat.copy()
+    bad = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in two.layers]
+    bad[1][1][0] = np.inf
+    with pytest.raises(NumericError, match="layer 1"):
+        adam_step(two, bad, AdamState.zeros_like(two), AdamConfig())
+    assert two.flat.tobytes() == before.tobytes()  # refused before any update
 
 
 def test_adam_converges_on_quadratic():

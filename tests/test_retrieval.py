@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cardl import retrieval
 from cardl.alignment import linear_model, project
+from cardl.dataio import load_index, save_index
 from cardl.errors import DataError, DimensionError, NumericError, UsageError
 from cardl.records import FeatureRecord
 from cardl.retrieval import (
@@ -53,6 +54,21 @@ def test_l2_normalize_worked_example():
 def test_l2_normalize_rejects_zero():
     with pytest.raises(NumericError):
         l2_normalize(np.zeros(3))
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-160, 1e-200])
+def test_vectors_whose_norm_overflows_or_underflows_rank_like_their_direction(size, tmp_path):
+    # ||v||**2 overflows to inf (1e200), is subnormal and inexact (1e-160) or
+    # underflows to 0 (1e-200) although v is finite
+    items = make_items(30, 3, seed=9)
+    reference = query_topk(build_index(items), np.full(3, 1.0), 5, "image")
+    with np.errstate(over="ignore"):  # numpy warns that ||v||**2 overflowed
+        got = query_topk(build_index(items), np.full(3, size), 5, "image")
+    assert [(r.id, r.score.hex()) for r in got] == [(r.id, r.score.hex()) for r in reference]
+    idx = build_index([("big", "image", np.full(3, size)), ("one", "image", np.full(3, 1.0))])
+    assert idx.vectors[0].tobytes() == idx.vectors[1].tobytes() == l2_normalize(np.ones(3)).tobytes()
+    save_index(idx, tmp_path / "index.json")
+    assert load_index(tmp_path / "index.json").vectors.tobytes() == idx.vectors.tobytes()
 
 
 def test_cosine_worked_value_exact():
