@@ -11,7 +11,7 @@ total loss is their exact sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,57 +94,86 @@ class PairedExample:
 class AlignmentModel:
     """The trained (or constructed) pair of projection heads plus temperature.
 
-    The dimension fields default to whatever the heads imply; passing them
-    explicitly just adds a consistency check.
+    Its dimensions are read off the heads, which must agree on the output dim.
     """
 
     text_head: MlpParams
     image_head: MlpParams
     temperature: float = DEFAULT_TEMPERATURE
-    unified_dim: int | None = None
-    text_input_dim: int | None = None
-    image_input_dim: int | None = None
 
     def __post_init__(self):
         if self.temperature <= 0:
             raise UsageError(f"temperature must be positive, got {self.temperature}")
-        if self.unified_dim is None:
-            self.unified_dim = self.text_head.output_dim
-        if self.text_input_dim is None:
-            self.text_input_dim = self.text_head.input_dim
-        if self.image_input_dim is None:
-            self.image_input_dim = self.image_head.input_dim
-        for name, head in (("text", self.text_head), ("image", self.image_head)):
-            if head.output_dim != self.unified_dim:
-                raise DimensionError(
-                    f"{name} head outputs {head.output_dim} dims, expected "
-                    f"unified_dim {self.unified_dim}"
-                )
-        if self.text_head.input_dim != self.text_input_dim:
+        if self.text_head.output_dim != self.image_head.output_dim:
             raise DimensionError(
-                f"text head expects {self.text_head.input_dim} input dims, "
-                f"model declares {self.text_input_dim}"
+                f"heads disagree on output dim: text {self.text_head.output_dim}, "
+                f"image {self.image_head.output_dim}"
             )
-        if self.image_head.input_dim != self.image_input_dim:
-            raise DimensionError(
-                f"image head expects {self.image_head.input_dim} input dims, "
-                f"model declares {self.image_input_dim}"
-            )
+
+    @property
+    def unified_dim(self) -> int:
+        return self.text_head.output_dim
+
+    @property
+    def text_input_dim(self) -> int:
+        return self.text_head.input_dim
+
+    @property
+    def image_input_dim(self) -> int:
+        return self.image_head.input_dim
 
     def head_for(self, modality: str) -> MlpParams:
         return self.text_head if modality == TEXT else self.image_head
 
 
-def normalize_rows(matrix: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
-    """L2-normalize each row; a zero row is a hard numeric failure."""
+# Below this norm, v.v is near or in the subnormal range and has lost bits.
+_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
+
+
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """v / ||v||.  When ||v|| = sqrt(v.v) is below _NORM_FLOOR or overflows
+    to inf although v is finite and nonzero, v is first divided by max|v|.
+    numpy still warns of such an overflow unless the caller suppresses
+    floating-point errors."""
+    v = np.asarray(v, dtype=np.float64)
+    norm = np.linalg.norm(v)
+    if norm < _NORM_FLOOR or norm == np.inf:
+        scale = np.abs(v).max(initial=0.0)
+        if 0.0 < scale < np.inf:
+            v = v / scale
+            norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise NumericError("cannot normalize the zero vector (cosine undefined)")
+    return v / norm
+
+
+def _unit_rows(
+    matrix: np.ndarray, ids: Sequence[str] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its L2 norm, and those norms; a zero row is a NumericError.
+
+    A row whose norm is below _NORM_FLOOR or overflows goes through
+    `l2_normalize`, and its norm is recomputed as row . unit.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     norms = np.linalg.norm(matrix, axis=1)
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        row = int(bad[0])
-        who = ids[row] if ids is not None else f"row {row}"
-        raise NumericError(f"cannot normalize zero vector ({who})")
-    return matrix / norms[:, None]
+    if _NORM_FLOOR <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
+        return matrix / norms[:, None], norms
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = matrix / norms[:, None]  # the rescued rows are overwritten below
+    for row in np.flatnonzero((norms < _NORM_FLOOR) | (norms == np.inf)):
+        try:
+            unit[row] = l2_normalize(matrix[row])
+        except NumericError:
+            who = ids[row] if ids is not None else f"row {row}"
+            raise NumericError(f"cannot normalize zero vector ({who})") from None
+        norms[row] = matrix[row] @ unit[row]
+    return unit, norms
+
+
+def normalize_rows(matrix: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
+    """L2-normalize each row; a zero row is a hard numeric failure."""
+    return _unit_rows(matrix, ids)[0]
 
 
 def project(
@@ -175,19 +204,25 @@ def batch_logits(
     return img_unified @ txt_unified.T / temperature
 
 
-def batch_targets(labels: Sequence[str | None]) -> np.ndarray:
-    """Build the in-batch target matrix from per-pair labels.
+def batch_targets(*keys: Sequence[Hashable | None]) -> np.ndarray:
+    """Build the in-batch target matrix from per-pair keys (labels, ids).
 
-    Item j is a positive for anchor i when i == j, or when both carry the
-    same non-None label.  Each row spreads its mass uniformly.
+    Item j is a positive for anchor i when i == j, or when the two carry the
+    same non-None value in any of the key sequences.  Each row spreads its
+    mass uniformly.
     """
-    codes: dict[str, int] = {}
-    # equal codes mark positives; an unlabelled item gets a code of its own
-    tags = np.array([
-        -1 - i if label is None else codes.setdefault(label, len(codes))
-        for i, label in enumerate(labels)
-    ])
-    y = (tags[:, None] == tags[None, :]).astype(np.float64)
+    if len({len(key) for key in keys}) != 1:
+        raise DimensionError(f"need key sequences of one length, got {[len(k) for k in keys]}")
+    y = np.eye(len(keys[0]), dtype=bool)
+    for key in keys:
+        codes: dict[Hashable, int] = {}
+        # equal codes mark positives; a None gets a code of its own
+        tags = np.array([
+            -1 - i if value is None else codes.setdefault(value, len(codes))
+            for i, value in enumerate(key)
+        ])
+        y |= tags[:, None] == tags[None, :]
+    y = y.astype(np.float64)
     return y / y.sum(axis=1, keepdims=True)
 
 
@@ -202,6 +237,17 @@ def transpose_targets(y: np.ndarray) -> np.ndarray:
     return yt / sums[:, None]
 
 
+def _directional(logits: np.ndarray, y: np.ndarray):
+    """(losses, p_i2t, yt, p_t2i): both directional losses with their exact
+    sum, each direction's softmax, and the text->image targets."""
+    p_i2t = stable_softmax(logits, axis=1)
+    yt = transpose_targets(y)
+    p_t2i = stable_softmax(logits.T, axis=1)
+    loss_i2t = cross_entropy(y, p_i2t)
+    loss_t2i = cross_entropy(yt, p_t2i)
+    return (loss_i2t, loss_t2i, loss_i2t + loss_t2i), p_i2t, yt, p_t2i
+
+
 def alignment_loss(logits: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Both directional losses and their exact sum.
 
@@ -212,10 +258,7 @@ def alignment_loss(logits: np.ndarray, y: np.ndarray) -> tuple[float, float, flo
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if logits.shape != y.shape:
         raise DimensionError(f"logits shape {logits.shape} != targets shape {y.shape}")
-    loss_i2t = cross_entropy(y, stable_softmax(logits, axis=1))
-    yt = transpose_targets(y)
-    loss_t2i = cross_entropy(yt, stable_softmax(logits.T, axis=1))
-    return loss_i2t, loss_t2i, loss_i2t + loss_t2i
+    return _directional(logits, y)[0]
 
 
 def _normalize_backward(
@@ -247,21 +290,10 @@ def alignment_gradients(
 
     raw_txt, cache_txt = mlp_forward(model.text_head, text_batch)
     raw_img, cache_img = mlp_forward(model.image_head, image_batch)
-    norms_txt = np.linalg.norm(raw_txt, axis=1)
-    norms_img = np.linalg.norm(raw_img, axis=1)
-    if np.any(norms_txt == 0) or np.any(norms_img == 0):
-        raise NumericError("projection produced a zero vector; cannot normalize")
-    u_txt = raw_txt / norms_txt[:, None]
-    u_img = raw_img / norms_img[:, None]
-
+    u_txt, norms_txt = _unit_rows(raw_txt)
+    u_img, norms_img = _unit_rows(raw_img)
     tau = model.temperature
-    logits = u_img @ u_txt.T / tau
-    p_i2t = stable_softmax(logits, axis=1)
-    yt = transpose_targets(y)
-    p_t2i = stable_softmax(logits.T, axis=1)
-    loss_i2t = cross_entropy(y, p_i2t)
-    loss_t2i = cross_entropy(yt, p_t2i)
-    losses = (loss_i2t, loss_t2i, loss_i2t + loss_t2i)
+    losses, p_i2t, yt, p_t2i = _directional(batch_logits(u_img, u_txt, tau), y)
 
     # Rows of y and yt sum to 1, so d(loss)/d(logits) collapses to the
     # usual softmax-minus-target form, scaled by the 1/(n*m) averaging.
@@ -281,10 +313,10 @@ def _resolve_pairs(
     text_features: Sequence[FeatureRecord],
     image_features: Sequence[FeatureRecord],
     pairs: Sequence[PairedExample],
-) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     texts = {r.id: r for r in text_features}
     images = {r.id: r for r in image_features}
-    t_rows, i_rows, labels = [], [], []
+    t_rows, i_rows = [], []
     for pair in pairs:
         t = texts.get(pair.text_id)
         if t is None or t.modality != TEXT:
@@ -294,12 +326,19 @@ def _resolve_pairs(
             raise DataError(f"pair references unknown image id {pair.image_id!r}")
         t_rows.append(t.vector)
         i_rows.append(i.vector)
-        labels.append(pair.label)
     dims_t = {v.size for v in t_rows}
     dims_i = {v.size for v in i_rows}
     if len(dims_t) > 1 or len(dims_i) > 1:
         raise DataError(f"inconsistent feature dims: text {sorted(dims_t)}, image {sorted(dims_i)}")
-    return np.stack(t_rows), np.stack(i_rows), labels
+    return np.stack(t_rows), np.stack(i_rows)
+
+
+def _minibatches(n: int, config: TrainConfig, epoch: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(batch number, row indices) for one epoch over n items: a permutation
+    drawn from (seed, epoch), cut into slices of batch_size."""
+    perm = np.random.default_rng([config.seed & _SEED_MASK, epoch]).permutation(n)
+    for b, start in enumerate(range(0, n, config.batch_size)):
+        yield b, perm[start : start + config.batch_size]
 
 
 def fit(
@@ -312,42 +351,32 @@ def fit(
 
     Deterministic given (inputs, config): weight init draws from the config
     seed, and each epoch shuffles with a stream derived from (seed, epoch).
-    Partial batches smaller than 2 are dropped.
+    Partial batches smaller than 2 are dropped.  Pairs that share a label, a
+    text id or an image id are in-batch positives of each other.
     """
     if len(pairs) < 2:
         raise DataError(f"need at least 2 pairs to train, got {len(pairs)}")
-    text_mat, image_mat, labels = _resolve_pairs(text_features, image_features, pairs)
+    text_mat, image_mat = _resolve_pairs(text_features, image_features, pairs)
+    keys = [[getattr(p, key) for p in pairs] for key in ("label", "text_id", "image_id")]
 
-    seed = config.seed & _SEED_MASK
-    rng_init = np.random.default_rng(seed)
-    text_head = init_mlp(
-        [text_mat.shape[1], *config.hidden_dims, config.unified_dim], rng_init
-    )
-    image_head = init_mlp(
-        [image_mat.shape[1], *config.hidden_dims, config.unified_dim], rng_init
-    )
+    rng_init = np.random.default_rng(config.seed & _SEED_MASK)
+    dims = [*config.hidden_dims, config.unified_dim]
     model = AlignmentModel(
-        text_head=text_head,
-        image_head=image_head,
-        unified_dim=config.unified_dim,
+        text_head=init_mlp([text_mat.shape[1], *dims], rng_init),
+        image_head=init_mlp([image_mat.shape[1], *dims], rng_init),
         temperature=config.temperature,
-        text_input_dim=text_mat.shape[1],
-        image_input_dim=image_mat.shape[1],
     )
 
     adam = config.adam()
     state_txt = AdamState.zeros_like(model.text_head)
     state_img = AdamState.zeros_like(model.image_head)
-    n = len(pairs)
     history: list[float] = []
     for epoch in range(config.epochs):
-        perm = np.random.default_rng([seed, epoch]).permutation(n)
         batch_losses = []
-        for b, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
+        for b, idx in _minibatches(len(pairs), config, epoch):
             if idx.size < 2:
                 continue
-            y = batch_targets([labels[i] for i in idx])
+            y = batch_targets(*([key[i] for i in idx] for key in keys))
             try:
                 losses, g_txt, g_img = alignment_gradients(
                     model, text_mat[idx], image_mat[idx], y
@@ -373,21 +402,11 @@ def linear_model(
     """Wrap two fixed linear maps (out_dim x in_dim) as an untrained model."""
     from .nn import LinearLayer  # local import keeps the public surface tidy
 
-    text_weight = np.asarray(text_weight, dtype=np.float64)
-    image_weight = np.asarray(image_weight, dtype=np.float64)
-    if text_weight.shape[0] != image_weight.shape[0]:
-        raise DimensionError(
-            f"heads disagree on output dim: {text_weight.shape[0]} vs {image_weight.shape[0]}"
-        )
-    out_dim = text_weight.shape[0]
-    return AlignmentModel(
-        text_head=MlpParams([LinearLayer(text_weight, np.zeros(out_dim))]),
-        image_head=MlpParams([LinearLayer(image_weight, np.zeros(out_dim))]),
-        unified_dim=out_dim,
-        temperature=temperature,
-        text_input_dim=text_weight.shape[1],
-        image_input_dim=image_weight.shape[1],
-    )
+    def head(weight):
+        weight = np.asarray(weight, dtype=np.float64)
+        return MlpParams([LinearLayer(weight, np.zeros(len(weight)))])
+
+    return AlignmentModel(head(text_weight), head(image_weight), temperature)
 
 
 def random_projection_model(
@@ -401,11 +420,4 @@ def random_projection_model(
     rng = np.random.default_rng(seed & _SEED_MASK)
     text_head = init_mlp([text_input_dim, unified_dim], rng)
     image_head = init_mlp([image_input_dim, unified_dim], rng)
-    return AlignmentModel(
-        text_head=text_head,
-        image_head=image_head,
-        unified_dim=unified_dim,
-        temperature=temperature,
-        text_input_dim=text_input_dim,
-        image_input_dim=image_input_dim,
-    )
+    return AlignmentModel(text_head, image_head, temperature)

@@ -7,8 +7,8 @@ Formats (all byte-deterministic under a fixed seed):
   - model, pair head, index, report: versioned JSON with sorted keys and
     round-trip-exact floats (json uses the shortest exact decimal repr)
 
-All writes go through a write-temp-then-rename helper so readers never see
-partial files.
+All writes go through a write-temp-fsync-rename helper, so readers never see
+partial files and concurrent writers of one target never share a temp file.
 """
 
 from __future__ import annotations
@@ -16,13 +16,16 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+import uuid
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alignment import _SEED_MASK, AlignmentModel, PairedExample, TrainConfig, linear_model
+from .alignment import (
+    _SEED_MASK, DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model,
+)
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import LinearLayer, MlpParams
@@ -44,11 +47,19 @@ ENCODER_NOTES = {
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename over the target."""
+    """Write a temp file of a unique name in the target's directory, fsync it,
+    then rename it over the target; on any failure the temp file is removed."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_line(obj) -> str:
@@ -231,20 +242,7 @@ def save_model(
 ) -> None:
     if seed is None and train_config is not None:
         seed = train_config.seed
-    config_echo = None
-    if train_config is not None:
-        config_echo = {
-            "epochs": train_config.epochs,
-            "batch_size": train_config.batch_size,
-            "learning_rate": train_config.learning_rate,
-            "temperature": train_config.temperature,
-            "hidden_dims": list(train_config.hidden_dims),
-            "unified_dim": train_config.unified_dim,
-            "seed": train_config.seed,
-            "beta1": train_config.beta1,
-            "beta2": train_config.beta2,
-            "epsilon": train_config.epsilon,
-        }
+    config_echo = None if train_config is None else asdict(train_config)
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "alignment_model",
@@ -277,16 +275,23 @@ def load_model(path: str | Path) -> AlignmentModel:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     _check_version(doc, MODEL_FORMAT_VERSION, path)
     try:
-        return AlignmentModel(
+        model = AlignmentModel(
             text_head=_layers_from_json(doc["text_head"], f"{path}: text_head"),
             image_head=_layers_from_json(doc["image_head"], f"{path}: image_head"),
-            unified_dim=int(doc["unified_dim"]),
             temperature=float(doc["temperature"]),
-            text_input_dim=int(doc["text_input_dim"]),
-            image_input_dim=int(doc["image_input_dim"]),
         )
+        for name in ("unified_dim", "text_input_dim", "image_input_dim"):
+            if doc[name] != getattr(model, name):
+                raise DataError(
+                    f"{path}: {name} is {doc[name]!r}; its heads give {getattr(model, name)}"
+                )
     except KeyError as exc:
         raise DataError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a temperature that is not a number
+        raise DataError(f"{path}: malformed temperature: {exc}") from exc
+    except UsageError as exc:  # heads that disagree, or a temperature <= 0
+        raise DataError(f"{path}: {exc}") from exc
+    return model
 
 
 def save_pair_head(head: PairHead, path: str | Path, seed: int | None = None) -> None:
@@ -570,7 +575,9 @@ def generate_synthetic(
     )
 
 
-def oracle_model(dataset: SyntheticDataset, temperature: float = 0.07) -> AlignmentModel:
+def oracle_model(
+    dataset: SyntheticDataset, temperature: float = DEFAULT_TEMPERATURE
+) -> AlignmentModel:
     """Exact-alignment model built from the generator's recovery maps."""
     return linear_model(dataset.text_recovery, dataset.image_recovery, temperature)
 

@@ -21,7 +21,7 @@ from .nn import (
     mlp_forward,
     sigmoid,
 )
-from .alignment import TrainConfig, _SEED_MASK
+from .alignment import _SEED_MASK, TrainConfig, _minibatches
 
 
 def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -99,15 +99,11 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
     features = np.stack([combine_pair(e.x, e.y) for e in examples])
     targets = np.array([float(e.relevant) for e in examples])
 
-    seed = config.seed & _SEED_MASK
-    mlp = init_mlp([4 * d, 2 * d, 1], np.random.default_rng(seed))
+    mlp = init_mlp([4 * d, 2 * d, 1], np.random.default_rng(config.seed & _SEED_MASK))
     state = AdamState.zeros_like(mlp)
     adam = config.adam()
-    n = len(examples)
     for epoch in range(config.epochs):
-        perm = np.random.default_rng([seed, epoch]).permutation(n)
-        for b, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
+        for b, idx in _minibatches(len(examples), config, epoch):
             loss, grads = pair_loss_and_grads(mlp, features[idx], targets[idx])
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite pair loss at epoch {epoch}, batch {b}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignmentModel, project
+from .alignment import AlignmentModel, l2_normalize, project
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
 
@@ -48,25 +48,6 @@ DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 SCORE_BLOCK_BYTES = 2 << 20
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# Below this norm, v.v is near or in the subnormal range and has lost bits.
-_NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||.  When ||v|| = sqrt(v.v) is below _NORM_FLOOR or overflows
-    to inf although v is finite and nonzero, v is first divided by max|v|.
-    numpy still warns of such an overflow unless the caller suppresses
-    floating-point errors."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm < _NORM_FLOOR or norm == np.inf:
-        scale = np.abs(v).max(initial=0.0)
-        if 0.0 < scale < np.inf:
-            v = v / scale
-            norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise NumericError("cannot normalize the zero vector (cosine undefined)")
-    return v / norm
 
 
 def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardl import alignment
 from cardl.alignment import (
     AlignmentModel,
     PairedExample,
@@ -197,6 +198,17 @@ def test_batch_targets_equals_the_pairwise_loop_bit_for_bit(labels):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+def test_batch_targets_marks_shared_ids_as_positives():
+    # one text paired with two images: the two pairs are positives of each other
+    y = batch_targets([None, None, None], ["t0", "t0", "t1"], ["i0", "i1", "i2"])
+    assert np.array_equal(y, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    # a shared label or a shared image id counts the same way
+    y = batch_targets(["a", None, "a"], ["t0", "t1", "t2"], ["i0", "i1", "i1"])
+    assert np.array_equal(y, [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+    with pytest.raises(DimensionError):
+        batch_targets([None, None], ["t0"])
+
+
 def test_transpose_targets_renormalizes():
     y = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
     yt = transpose_targets(y)
@@ -294,6 +306,28 @@ def test_gradients_with_label_spread_targets():
     _grad_check(model, tb, ib, y)
 
 
+def test_loss_with_a_shared_text_id_closed_form():
+    # pairs (t0, i0) and (t0, i1): both logit columns are the one text's cosines
+    a, b = 1.2, -0.3
+    logits = np.array([[a, a], [b, b]])
+    y = batch_targets([None, None], ["t0", "t0"], ["i0", "i1"])
+    li2t, lt2i, _ = alignment_loss(logits, y)
+    assert abs(li2t - np.log(2) / 2) < 1e-12
+    p_a = 1 / (1 + np.exp(b - a))
+    assert abs(lt2i - -(np.log(p_a) + np.log(1 - p_a)) / 4) < 1e-12
+    # identical columns make the loss blind to how their target mass is split
+    assert np.allclose(alignment_loss(logits, np.eye(2)), (li2t, lt2i, li2t + lt2i), rtol=0, atol=1e-15)
+
+
+def test_gradients_with_a_shared_text_id():
+    rng = np.random.default_rng(8)
+    model = small_model()
+    tb = rng.normal(size=(3, 5))
+    tb[1] = tb[0]  # pairs 0 and 1 share their text
+    ib = rng.normal(size=(3, 4))
+    _grad_check(model, tb, ib, batch_targets([None] * 3, ["t0", "t0", "t1"], ["i0", "i1", "i2"]))
+
+
 def test_gradients_shape_validation():
     model = small_model()
     with pytest.raises(DimensionError):
@@ -348,6 +382,22 @@ def test_fit_drops_singleton_tail_batch():
     cfg = TrainConfig(epochs=2, batch_size=4, hidden_dims=(32,), unified_dim=3, seed=0)
     _, history = fit(texts, images, pairs, cfg)
     assert len(history) == 2
+
+
+def test_fit_counts_pairs_sharing_an_id_as_positives(monkeypatch):
+    texts, images, _ = toy_corpus()
+    pairs = [PairedExample(f"t{k // 2}", f"i{k}") for k in range(8)]
+    seen = []
+
+    def recording(*keys):
+        seen.append(batch_targets(*keys))
+        return seen[-1]
+
+    monkeypatch.setattr(alignment, "batch_targets", recording)
+    fit(texts, images, pairs, TrainConfig(epochs=1, batch_size=8, hidden_dims=(8,), unified_dim=3))
+    # one batch of all eight pairs: each text's two pairs split their mass
+    (y,) = seen
+    assert np.array_equal(np.sort(y, axis=1), np.tile([0, 0, 0, 0, 0, 0, 0.5, 0.5], (8, 1)))
 
 
 def test_fit_rejects_unknown_pair_ids():

@@ -193,6 +193,40 @@ def test_exit_codes_by_failure_class(synth_dir, tmp_path):
     assert run(["query", "--index", tmp_path / "x.json", "--model", tmp_path / "y.json", "--id", "a", "--direction", "diagonal"]) == 1
 
 
+QUERY = ["query", "--index", "{index}", "--id", "t0", "--direction", "txt2img"]
+EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, edit, code",
+    [
+        (["synth", "--out-dir", "{out}", "--no-such-flag", "x"], None, 1),
+        (QUERY + ["--features", "{features}"], None, 1),  # no --model to project them
+        (EMBED, ("model", ["unified_dim"], 3), 2),  # the heads output 2 dims
+        (EMBED, ("model", ["text_head", 0, "weight", 0, 0], float("nan")), 2),
+        (EMBED, ("model", ["temperature"], "hot"), 2),
+        (QUERY, ("index", ["entries", 0, "vector"], [2.0, 0.0]), 3),  # not unit-norm
+        (QUERY + ["--model", "{model}", "--features", "{features}"], ("features", ["vector"], [0.0, 0.0]), 3),
+    ],
+    ids=["unknown flag", "features without model", "model dims disagree", "NaN weight",
+         "temperature not a number", "index entry not unit-norm", "all-zero raw query"],
+)
+def test_exit_code_matches_the_error_class(tmp_path, argv, edit, code):
+    files = {name: tmp_path / name for name in ("index", "model", "features", "out")}
+    save_index(build_index([("t0", "text", [1.0, 0.0]), ("i0", "image", [0.0, 1.0])]), files["index"])
+    save_model(linear_model(np.eye(2), np.eye(2)), files["model"])
+    files["features"].write_text(json.dumps({"id": "t0", "modality": "text", "vector": [0.6, 0.8]}))
+    if edit is not None:  # rewrite one value of a file, reached by a path of keys
+        name, keys, value = edit
+        doc = json.loads(files[name].read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        files[name].write_text(json.dumps(doc))
+    assert run([arg.format(**files) for arg in argv]) == code
+
+
 def test_train_determinism_across_invocations(synth_dir, tmp_path):
     args = [
         "train",

@@ -1,11 +1,15 @@
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from cardl.alignment import PairedExample, TrainConfig, fit, project
+from cardl.alignment import PairedExample, TrainConfig, fit, linear_model, project
 from cardl.dataio import (
     SyntheticConfig,
+    atomic_write_text,
     build_index_from_records,
     format_report_table,
     generate_synthetic,
@@ -235,6 +239,87 @@ def test_model_corrupt_layer_is_a_data_error(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match="text_head"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("unified_dim", 3, "unified_dim is 3; its heads give 2"),
+        ("text_input_dim", 7, "text_input_dim is 7; its heads give 5"),
+        ("image_input_dim", "4", "image_input_dim is '4'; its heads give 4"),
+        ("image_head", [{"weight": [[1.0, 0.0, 0.0, 0.0]], "bias": [0.0]}], "heads disagree on output dim"),
+    ],
+)
+def test_model_load_checks_declared_dims_against_the_heads(tmp_path, field, value, message):
+    model = linear_model(np.ones((2, 5)), np.ones((2, 4)))
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert (doc["unified_dim"], doc["text_input_dim"], doc["image_input_dim"]) == (2, 5, 4)
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=rf"m\.json: {message}"):
+        load_model(path)
+
+
+def test_model_echoes_every_train_config_field(tmp_path):
+    cfg = TrainConfig(epochs=0, hidden_dims=(4, 3), unified_dim=2, seed=9)
+    texts, images = small_records()
+    model, _ = fit(texts, images, [PairedExample(f"t{k}", f"i{k}") for k in range(4)], cfg)
+    save_model(model, tmp_path / "m.json", train_config=cfg)
+    echo = json.loads((tmp_path / "m.json").read_text())["train_config"]
+    assert TrainConfig(**echo) == cfg and echo["hidden_dims"] == [4, 3]
+
+
+# ------------------------------------------------------------------ writes --
+
+def test_atomic_write_failure_keeps_the_old_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    atomic_write_text(target, "old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(target, "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_writes_from_four_threads_leave_one_complete_text(tmp_path):
+    target = tmp_path / "out.json"
+    texts = [c * 100_000 + "\n" for c in "abcd"]  # more writers than cores
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(25):
+                atomic_write_text(target, text)
+        except OSError as exc:  # a thread's exception would not fail the test by itself
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert target.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_write_gives_a_new_file_the_usual_permissions(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("x")
+    atomic_write_text(tmp_path / "atomic.txt", "x")
+    assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
 # --------------------------------------------------------------- pair head --

@@ -71,6 +71,23 @@ def test_vectors_whose_norm_overflows_or_underflows_rank_like_their_direction(si
     assert load_index(tmp_path / "index.json").vectors.tobytes() == idx.vectors.tobytes()
 
 
+@pytest.mark.parametrize("size", [1e200, 1e-160, 1e-200])
+def test_projections_whose_norm_overflows_or_underflows_equal_their_direction(size):
+    model = linear_model(np.eye(3), np.eye(3))
+    ones = project(model.text_head, np.ones((1, 3)))
+    with np.errstate(over="ignore"):  # numpy warns that ||v||**2 overflowed
+        got = project(model.text_head, np.full((1, 3), size))
+        mixed = project(model.text_head, np.array([[size] * 3, [3.0, 4.0, 0.0]]))
+    assert got.tobytes() == ones.tobytes()
+    # rows with an ordinary norm keep the bits of the plain division
+    assert mixed[0].tobytes() == ones[0].tobytes() and mixed[1].tobytes() == bytes(np.array([0.6, 0.8, 0.0]))
+    index = build_index(make_items(30, 3, seed=9))
+    reference = cross_media_search(model, index, FeatureRecord("q", "text", np.ones(3)), 5, TXT2IMG)
+    with np.errstate(over="ignore"):
+        hits = cross_media_search(model, index, FeatureRecord("q", "text", np.full(3, size)), 5, TXT2IMG)
+    assert [(r.id, r.score.hex()) for r in hits] == [(r.id, r.score.hex()) for r in reference]
+
+
 def test_cosine_worked_value_exact():
     assert cosine_sim(np.array([1.0, 2.0]), np.array([2.0, 1.0])) == 0.8
 
