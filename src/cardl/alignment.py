@@ -148,7 +148,7 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(
-    matrix: np.ndarray, ids: Sequence[str] | None = None
+    matrix: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row over its L2 norm, and those norms; a zero row is a NumericError.
 
@@ -166,7 +166,7 @@ def _unit_rows(
             unit[row] = l2_normalize(matrix[row])
         except NumericError:
             who = ids[row] if ids is not None else f"row {row}"
-            raise NumericError(f"cannot normalize zero vector ({who})") from None
+            raise NumericError(f"cannot normalize zero {what} ({who})") from None
         norms[row] = matrix[row] @ unit[row]
     return unit, norms
 
@@ -290,8 +290,8 @@ def alignment_gradients(
 
     raw_txt, cache_txt = mlp_forward(model.text_head, text_batch)
     raw_img, cache_img = mlp_forward(model.image_head, image_batch)
-    u_txt, norms_txt = _unit_rows(raw_txt)
-    u_img, norms_img = _unit_rows(raw_img)
+    u_txt, norms_txt = _unit_rows(raw_txt, what="text projection")
+    u_img, norms_img = _unit_rows(raw_img, what="image projection")
     tau = model.temperature
     losses, p_i2t, yt, p_t2i = _directional(batch_logits(u_img, u_txt, tau), y)
 
@@ -381,10 +381,8 @@ def fit(
                 losses, g_txt, g_img = alignment_gradients(
                     model, text_mat[idx], image_mat[idx], y
                 )
-            except NumericError as exc:
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {b}: {exc}"
-                ) from exc
+            except NumericError as exc:  # e.g. a zero projection, naming head and batch row
+                raise NumericError(f"{exc} at epoch {epoch}, batch {b}") from exc
             if not np.isfinite(losses[2]):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
             adam_step(model.text_head, g_txt, state_txt, adam)  # in place

@@ -110,6 +110,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_pairhead_train(args) -> int:
+    if args.negatives_per_positive < 1:
+        raise UsageError(f"--negatives-per-positive {args.negatives_per_positive} is below 1")
     records = dataio.load_features(args.features)
     by_id = {r.id: r for r in records}
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=set(by_id))

@@ -7,6 +7,8 @@ Formats (all byte-deterministic under a fixed seed):
   - model, pair head, index, report: versioned JSON with sorted keys and
     round-trip-exact floats (json uses the shortest exact decimal repr)
 
+Each versioned file is a JSON object with its `kind` and `format_version`
+(FORMAT_VERSIONS); `_read_doc` refuses anything else, naming the file.
 All writes go through a write-temp-fsync-rename helper, so readers never see
 partial files and concurrent writers of one target never share a temp file.
 """
@@ -14,7 +16,6 @@ partial files and concurrent writers of one target never share a temp file.
 from __future__ import annotations
 
 import json
-import math
 import os
 import uuid
 from dataclasses import asdict, dataclass
@@ -26,17 +27,15 @@ import numpy as np
 from .alignment import (
     _SEED_MASK, DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model,
 )
-from .errors import DataError, DimensionError, NumericError, UsageError
+from .errors import CardlError, DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import LinearLayer, MlpParams
 from .pairhead import PairHead
-from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
+from .records import IMAGE, TEXT, FeatureRecord
 from .retrieval import UnifiedIndex, build_index
 
-MODEL_FORMAT_VERSION = 1
-INDEX_FORMAT_VERSION = 1
-REPORT_FORMAT_VERSION = 1
-PAIRHEAD_FORMAT_VERSION = 1
+# kind -> format version of each versioned JSON file
+FORMAT_VERSIONS = {"alignment_model": 1, "pair_head": 1, "unified_index": 1, "retrieval_report": 1}
 
 # The vectors this package consumes come from external encoders; recorded in
 # model files so downstream users know what produced the inputs.
@@ -66,6 +65,37 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _header(kind: str) -> dict:
+    return {"kind": kind, "format_version": FORMAT_VERSIONS[kind]}
+
+
+def _write_doc(path: str | Path, kind: str, body: dict) -> None:
+    """Write a versioned document: the body plus its kind and format version."""
+    atomic_write_text(path, json.dumps({**_header(kind), **body}, sort_keys=True) + "\n")
+
+
+def _read_doc(path: str | Path, kind: str, what: str, object_hook=None) -> dict:
+    """The JSON object of a versioned file of this kind and version."""
+    try:
+        doc = json.loads(_read_text(path, what), object_hook=object_hook)
+    except ValueError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    header = _header(kind)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected {header}, found a JSON {type(doc).__name__}")
+    found = {key: doc.get(key) for key in header}
+    if found != header:
+        raise DataError(f"{path}: expected {header}, found {found}")
+    return doc
+
+
 # ---------------------------------------------------------------- features --
 
 def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
@@ -78,10 +108,7 @@ def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
 
 def load_features(path: str | Path) -> list[FeatureRecord]:
     """Parse a feature file; order is preserved, dims must be uniform per modality."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read feature file {path}: {exc}") from exc
+    raw = _read_text(path, "feature")
     records: list[FeatureRecord] = []
     dims: dict[str, tuple[int, int]] = {}  # modality -> (dim, line where first seen)
     seen_ids: set[str] = set()
@@ -98,15 +125,12 @@ def load_features(path: str | Path) -> list[FeatureRecord]:
         if record.id in seen_ids:
             raise DataError(f"{path}: duplicate id {record.id!r} at line {lineno}")
         seen_ids.add(record.id)
-        if record.modality in dims:
-            dim, first_line = dims[record.modality]
-            if record.dim != dim:
-                raise DataError(
-                    f"{path}: inconsistent {record.modality} dimension at line "
-                    f"{lineno}: {dim} vs {record.dim}"
-                )
-        else:
-            dims[record.modality] = (record.dim, lineno)
+        dim, first_line = dims.setdefault(record.modality, (record.dim, lineno))
+        if record.dim != dim:
+            raise DataError(
+                f"{path}: inconsistent {record.modality} dimension: {record.dim} at "
+                f"line {lineno}, {dim} at line {first_line}"
+            )
         records.append(record)
     if not records:
         raise DataError(f"{path}: feature file is empty")
@@ -145,10 +169,7 @@ def load_pairs_and_qrels(
     in both directions.  When `known_ids` is given, any id not in it is a
     hard data error.
     """
-    try:
-        raw = Path(pairs_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read pairs file {pairs_path}: {exc}") from exc
+    raw = _read_text(pairs_path, "pairs")
     pairs: list[PairedExample] = []
     seen_rows: set[tuple[str, str]] = set()
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -179,10 +200,7 @@ def load_pairs_and_qrels(
             qrels.setdefault(p.image_id, set()).add(p.text_id)
         return pairs, qrels
 
-    try:
-        raw = Path(qrels_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read qrels file {qrels_path}: {exc}") from exc
+    raw = _read_text(qrels_path, "qrels")
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -242,38 +260,22 @@ def save_model(
 ) -> None:
     if seed is None and train_config is not None:
         seed = train_config.seed
-    config_echo = None if train_config is None else asdict(train_config)
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": "alignment_model",
+    _write_doc(path, "alignment_model", {
         "unified_dim": model.unified_dim,
         "temperature": model.temperature,
         "text_input_dim": model.text_input_dim,
         "image_input_dim": model.image_input_dim,
         "text_head": _layers_to_json(model.text_head),
         "image_head": _layers_to_json(model.image_head),
-        "train_config": config_echo,
+        "train_config": None if train_config is None else asdict(train_config),
         "seed": seed,
         "encoder_notes": ENCODER_NOTES,
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
-
-
-def _check_version(doc: dict, expected: int, path) -> None:
-    version = doc.get("format_version")
-    if version != expected:
-        raise DataError(f"{path}: file version {version!r} unsupported (expected {expected})")
+    })
 
 
 def load_model(path: str | Path) -> AlignmentModel:
     """Reload a saved model; projections are bit-identical to the original."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    _check_version(doc, MODEL_FORMAT_VERSION, path)
+    doc = _read_doc(path, "alignment_model", "model")
     try:
         model = AlignmentModel(
             text_head=_layers_from_json(doc["text_head"], f"{path}: text_head"),
@@ -295,24 +297,15 @@ def load_model(path: str | Path) -> AlignmentModel:
 
 
 def save_pair_head(head: PairHead, path: str | Path, seed: int | None = None) -> None:
-    doc = {
-        "format_version": PAIRHEAD_FORMAT_VERSION,
-        "kind": "pair_head",
+    _write_doc(path, "pair_head", {
         "embedding_dim": head.embedding_dim,
         "mlp": _layers_to_json(head.mlp),
         "seed": seed,
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    })
 
 
 def load_pair_head(path: str | Path) -> PairHead:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read pair head file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    _check_version(doc, PAIRHEAD_FORMAT_VERSION, path)
+    doc = _read_doc(path, "pair_head", "pair head")
     return PairHead(_layers_from_json(doc.get("mlp"), f"{path}: pair head"))
 
 
@@ -323,13 +316,7 @@ def save_index(index: UnifiedIndex, path: str | Path) -> None:
         {"id": id_, "modality": mod, "vector": index.vectors[row].tolist()}
         for row, (id_, mod) in enumerate(zip(index.ids, index.modalities))
     ]
-    doc = {
-        "format_version": INDEX_FORMAT_VERSION,
-        "kind": "unified_index",
-        "dimension": index.dimension,
-        "entries": entries,
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    _write_doc(path, "unified_index", {"dimension": index.dimension, "entries": entries})
 
 
 def _vector_as_array(obj: dict) -> dict:
@@ -343,45 +330,34 @@ def _vector_as_array(obj: dict) -> dict:
 
 
 def load_index(path: str | Path) -> UnifiedIndex:
-    """Reload an index verbatim (no renormalization, so round-trips are exact)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_vector_as_array)
-    except OSError as exc:
-        raise DataError(f"cannot read index file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    _check_version(doc, INDEX_FORMAT_VERSION, path)
+    """Reload an index verbatim (no renormalization, so round-trips are exact);
+    `UnifiedIndex` checks the entries, and its errors gain the path."""
+    doc = _read_doc(path, "unified_index", "index", object_hook=_vector_as_array)
     entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: entries must be a list, got {type(entries).__name__}")
     if not entries:
         return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
     ids, modalities, rows = [], [], []
     dim = doc.get("dimension")
     for k, entry in enumerate(entries):
         try:
-            id_, mod, vec = entry["id"], entry["modality"], entry["vector"]
-        except (KeyError, TypeError) as exc:
+            id_, mod = str(entry["id"]), entry["modality"]
+            vec = np.asarray(entry["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed entry {k}: {exc}") from exc
-        if mod not in MODALITIES:
-            raise DataError(f"{path}: entry {id_!r}: unknown modality {mod!r}")
-        vec = np.asarray(vec, dtype=np.float64)
         if vec.ndim != 1 or vec.size != dim:
             raise DataError(
                 f"{path}: entry {id_!r}: vector dim {vec.size} does not match "
                 f"declared dimension {dim}"
             )
-        norm = np.linalg.norm(vec)
-        if not math.isfinite(norm):  # NaN would pass the unit-norm test below
-            raise DataError(f"{path}: entry {id_!r}: vector norm is not finite")
-        if abs(norm - 1.0) > 1e-9:
-            raise NumericError(f"{path}: entry {id_!r}: stored vector is not unit-norm")
-        ids.append(str(id_))
+        ids.append(id_)
         modalities.append(mod)
         rows.append(vec)
-    if ids != sorted(ids):
-        raise DataError(f"{path}: entries are not in canonical (ascending id) order")
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate ids in index file")
-    return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=np.stack(rows))
+    try:
+        return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=np.stack(rows))
+    except CardlError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- report --
@@ -398,35 +374,29 @@ def save_report(reports: Mapping[str, EvalReport], path: str | Path) -> None:
             "evaluated": rep.evaluated,
             "skipped": rep.skipped,
         }
-    doc = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "kind": "retrieval_report",
-        "ap_convention": AP_CONVENTION,
-        "directions": directions,
-    }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    _write_doc(path, "retrieval_report", {"ap_convention": AP_CONVENTION, "directions": directions})
 
 
 def load_report(path: str | Path) -> dict[str, EvalReport]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read report file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    _check_version(doc, REPORT_FORMAT_VERSION, path)
+    doc = _read_doc(path, "retrieval_report", "report")
+    directions = doc.get("directions", {})
+    if not isinstance(directions, dict):
+        raise DataError(f"{path}: directions must be an object, got {type(directions).__name__}")
     reports = {}
-    for direction, body in doc.get("directions", {}).items():
-        reports[direction] = EvalReport(
-            direction=direction,
-            map_at={int(k): v for k, v in body["map_at"].items()},
-            ap_per_query={
-                int(k): dict(per) for k, per in body["ap_per_query"].items()
-            },
-            evaluated=int(body["evaluated"]),
-            skipped=int(body["skipped"]),
-            ap_convention=doc.get("ap_convention", AP_CONVENTION),
-        )
+    for direction, body in directions.items():
+        try:
+            reports[direction] = EvalReport(
+                direction=direction,
+                map_at={int(k): v for k, v in body["map_at"].items()},
+                ap_per_query={
+                    int(k): dict(per) for k, per in body["ap_per_query"].items()
+                },
+                evaluated=int(body["evaluated"]),
+                skipped=int(body["skipped"]),
+                ap_convention=doc.get("ap_convention", AP_CONVENTION),
+            )
+        except (KeyError, AttributeError, TypeError, ValueError, DataError) as exc:
+            raise DataError(f"{path}: direction {direction!r} is malformed: {exc!r}") from exc
     return reports
 
 

@@ -29,6 +29,7 @@ One kernel, `query_topk_batch`, answers a block of queries in three steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -77,7 +78,11 @@ class RetrievalResult:
 
 @dataclass(frozen=True)
 class UnifiedIndex:
-    """Unit-norm vectors in canonical (ascending id) order; immutable."""
+    """Unit-norm vectors in canonical (ascending id) order; immutable.
+
+    Construction refuses, naming the id, unsorted or duplicate ids, unknown
+    modalities and non-finite rows (DataError), and rows whose norm is off 1
+    by more than 1e-9 (NumericError), however the index was made."""
 
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
@@ -88,12 +93,22 @@ class UnifiedIndex:
     max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for prev, id_ in pairwise(self.ids):
+            if prev >= id_:
+                problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
+                raise DataError(f"entry {id_!r}: {problem}")
+        for id_, modality in zip(self.ids, self.modalities):
+            if modality not in MODALITIES:
+                raise DataError(f"entry {id_!r}: unknown modality {modality!r}")
         self.vectors.setflags(write=False)
         # row norms without a temporary the size of the matrix
         norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
         if not np.isfinite(norms).all():
             bad = self.ids[int(np.flatnonzero(~np.isfinite(norms))[0])]
-            raise DataError(f"entry {bad!r}: vector has non-finite values")
+            raise DataError(f"entry {bad!r}: vector is not finite")
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+        if off.size:
+            raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
         spans = {}
         for modality in MODALITIES:
             rows = [i for i, m in enumerate(self.modalities) if m == modality]
@@ -112,50 +127,31 @@ class UnifiedIndex:
 
 
 def build_index(items) -> UnifiedIndex:
-    """Normalize, sort by id, and freeze a list of (id, modality, vector).
+    """Sort by id, normalize, and freeze a list of (id, modality, vector).
 
     Input order never matters: the same item set always produces the same
     index, so serialization is deterministic.
     """
-    triples = []
-    for item in items:
-        if isinstance(item, FeatureRecord):
-            triples.append((item.id, item.modality, item.vector))
-        else:
-            triples.append(tuple(item))
-    seen: set[str] = set()
-    dim = None
-    for id_, modality, vec in triples:
-        if id_ in seen:
-            raise DataError(f"duplicate id {id_!r} in index input")
-        seen.add(id_)
-        if modality not in MODALITIES:
-            raise DataError(f"entry {id_!r}: unknown modality {modality!r}")
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.ndim != 1:
-            raise DimensionError(f"entry {id_!r}: vector must be 1-D, got shape {vec.shape}")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DimensionError(
-                f"entry {id_!r}: vector dim {vec.size} differs from index dim {dim}"
-            )
-    triples.sort(key=lambda t: t[0])
+    triples = sorted(
+        ((i.id, i.modality, i.vector) if isinstance(i, FeatureRecord) else tuple(i) for i in items),
+        key=lambda t: t[0],
+    )
     if not triples:
         return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
+    dim = np.size(triples[0][2])
     vectors = np.empty((len(triples), dim))
     # a non-finite entry yields a non-finite row, which UnifiedIndex refuses by id
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (id_, _, vec) in enumerate(triples):
+            vec = np.asarray(vec, dtype=np.float64)
+            if vec.shape != (dim,):
+                raise DimensionError(f"entry {id_!r}: vector shape {vec.shape}, index dim {dim}")
             try:
                 vectors[row] = l2_normalize(vec)
             except NumericError:
                 raise NumericError(f"entry {id_!r} is the zero vector; cannot index") from None
-    return UnifiedIndex(
-        ids=tuple(t[0] for t in triples),
-        modalities=tuple(t[1] for t in triples),
-        vectors=vectors,
-    )
+    ids, modalities, _ = zip(*triples)
+    return UnifiedIndex(ids=ids, modalities=modalities, vectors=vectors)
 
 
 def query_topk(

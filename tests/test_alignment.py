@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -421,8 +423,11 @@ def test_fit_numeric_failure_names_epoch_and_batch():
     cfg = TrainConfig(
         epochs=5, batch_size=4, learning_rate=1e18, hidden_dims=(4,), unified_dim=3, seed=0
     )
-    with pytest.raises(NumericError, match=r"epoch \d+, batch \d+"):
+    with pytest.raises(NumericError, match=r"epoch \d+, batch \d+") as info:
         fit(texts, images, pairs, cfg)
+    # the loss was never computed: the message names the zero projection's head and batch row
+    assert re.match(r"cannot normalize zero (text|image) projection \(row \d+\) at epoch", str(info.value))
+    assert "non-finite loss" not in str(info.value)
 
 
 def test_fit_converges_ranks_partner_first():

@@ -207,9 +207,15 @@ EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{o
         (EMBED, ("model", ["temperature"], "hot"), 2),
         (QUERY, ("index", ["entries", 0, "vector"], [2.0, 0.0]), 3),  # not unit-norm
         (QUERY + ["--model", "{model}", "--features", "{features}"], ("features", ["vector"], [0.0, 0.0]), 3),
+        (["query", "--index", "{model}", "--id", "t0", "--direction", "txt2img",
+          "--model", "{model}", "--features", "{features}"], None, 2),  # a model is no index
+        (EMBED, ("model", [], []), 2),  # a top-level JSON list
+        (["pairhead-train", "--features", "{features}", "--pairs", "{out}", "--out", "{out}",
+          "--negatives-per-positive", "0"], None, 1),  # refused before any file is read
     ],
     ids=["unknown flag", "features without model", "model dims disagree", "NaN weight",
-         "temperature not a number", "index entry not unit-norm", "all-zero raw query"],
+         "temperature not a number", "index entry not unit-norm", "all-zero raw query",
+         "model file as index", "model file holds a list", "no negatives per positive"],
 )
 def test_exit_code_matches_the_error_class(tmp_path, argv, edit, code):
     files = {name: tmp_path / name for name in ("index", "model", "features", "out")}
@@ -222,7 +228,10 @@ def test_exit_code_matches_the_error_class(tmp_path, argv, edit, code):
         parent = doc
         for key in keys[:-1]:
             parent = parent[key]
-        parent[keys[-1]] = value
+        if keys:
+            parent[keys[-1]] = value
+        else:  # an empty path replaces the whole document
+            doc = value
         files[name].write_text(json.dumps(doc))
     assert run([arg.format(**files) for arg in argv]) == code
 

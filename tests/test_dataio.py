@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import threading
 
@@ -83,7 +84,8 @@ def test_features_inconsistent_dim_names_line(tmp_path):
         {"id": "c", "modality": "text", "vector": [1.0, 2.0, 3.0]},
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(DataError, match="line 3"):
+    # both lines: the offending one and the one that set the modality's dim
+    with pytest.raises(DataError, match="text dimension: 3 at line 3, 2 at line 1"):
         load_features(path)
 
 
@@ -387,6 +389,22 @@ def test_empty_index_round_trip(tmp_path):
     assert len(back) == 0
 
 
+def test_index_load_rejects_duplicate_ids_and_unknown_modalities_by_id(tmp_path):
+    index = build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))])
+    path = tmp_path / "i.json"
+    save_index(index, path)
+    text = path.read_text()
+    for field, value, message in (
+        ("id", "a", "'a': duplicate id"),
+        ("modality", "audio", "'b': unknown modality 'audio'"),
+    ):
+        doc = json.loads(text)
+        doc["entries"][1][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"i\.json: entry {message}"):
+            load_index(path)
+
+
 # ------------------------------------------------------------------ report --
 
 def make_report(direction="txt2img"):
@@ -410,6 +428,61 @@ def test_report_round_trip(tmp_path):
     assert back["txt2img"].evaluated == 2
     assert back["txt2img"].skipped == 1
     assert back["txt2img"].ap_convention == AP_CONVENTION
+
+
+def test_report_direction_without_map_at_names_file_and_direction(tmp_path):
+    path = tmp_path / "r.json"
+    save_report({"txt2img": make_report()}, path)
+    doc = json.loads(path.read_text())
+    del doc["directions"]["txt2img"]["map_at"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=r"r\.json: direction 'txt2img' is malformed: KeyError\('map_at'\)"):
+        load_report(path)
+
+
+# -------------------------------------------------- versioned JSON envelope --
+
+def _write_each_format(tmp_path) -> dict:
+    """One valid file of each versioned format, keyed by its loader."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "pair_head", "index", "report")}
+    save_model(linear_model(np.eye(2), np.eye(2)), paths["model"])
+    save_pair_head(PairHead(init_mlp([4, 1], np.random.default_rng(0))), paths["pair_head"])
+    save_index(build_index([("a", "text", [1.0, 0.0])]), paths["index"])
+    save_report({"txt2img": make_report()}, paths["report"])
+    return paths
+
+
+LOADERS = {  # file name -> (loader, the kind it reads)
+    "model": (load_model, "alignment_model"),
+    "pair_head": (load_pair_head, "pair_head"),
+    "index": (load_index, "unified_index"),
+    "report": (load_report, "retrieval_report"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@pytest.mark.parametrize("case", ["top-level list", "another format's file", "no kind", "format_version 99"])
+def test_versioned_loaders_refuse_other_documents_naming_the_file(tmp_path, name, case):
+    paths = _write_each_format(tmp_path)
+    path = paths[name]
+    loader, kind = LOADERS[name]
+    doc = json.loads(path.read_text())
+    expected = {"kind": kind, "format_version": 1}
+    if case == "top-level list":
+        doc, found = [], "a JSON list"
+    elif case == "another format's file":
+        doc = json.loads(paths["index" if name == "model" else "model"].read_text())
+        found = str({"kind": doc["kind"], "format_version": 1})
+    elif case == "no kind":
+        del doc["kind"]
+        found = str({"kind": None, "format_version": 1})
+    else:
+        doc["format_version"] = 99
+        found = str({**expected, "format_version": 99})
+    path.write_text(json.dumps(doc))
+    message = rf"{name}\.json: expected {re.escape(str(expected))}, found {re.escape(found)}$"
+    with pytest.raises(DataError, match=message):
+        loader(path)
 
 
 def test_report_table_shape():

@@ -382,6 +382,21 @@ def test_build_index_rejects_non_finite_vectors_by_id():
                      vectors=np.array([[1.0, 0.0], [np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "ids, modalities, row, error, message",
+    [
+        (("b", "a"), ("text", "image"), [0.0, 1.0], DataError, "'a': not in canonical"),
+        (("a", "a"), ("text", "image"), [0.0, 1.0], DataError, "'a': duplicate id"),
+        (("a", "b"), ("text", "audio"), [0.0, 1.0], DataError, "'b': unknown modality 'audio'"),
+        (("a", "b"), ("text", "image"), [0.0, 2.0], NumericError, "'b': vector is not unit-norm"),
+    ],
+    ids=["unsorted ids", "duplicate ids", "unknown modality", "norm 2 row"],
+)
+def test_unified_index_refuses_what_its_docstring_rules_out(ids, modalities, row, error, message):
+    with pytest.raises(error, match=message):
+        UnifiedIndex(ids=ids, modalities=modalities, vectors=np.array([[1.0, 0.0], row]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_batched_topk_resolves_rounding_near_ties_exactly(seed):
     # permutations of one vector score the same in exact arithmetic against
