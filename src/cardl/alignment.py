@@ -33,6 +33,12 @@ from .records import IMAGE, TEXT, FeatureRecord
 DEFAULT_UNIFIED_DIM = 64
 DEFAULT_TEMPERATURE = 0.07
 
+
+def _check_temperature(temperature: float) -> None:
+    if not (np.isfinite(temperature) and temperature > 0):  # `<= 0` alone lets NaN pass
+        raise UsageError(f"temperature must be positive and finite, got {temperature}")
+
+
 _SEED_MASK = (1 << 64) - 1  # SeedSequence wants nonnegative entropy
 
 
@@ -66,8 +72,7 @@ class TrainConfig:
             )
         if self.learning_rate <= 0:
             raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.temperature <= 0:
-            raise UsageError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if any(d < 1 for d in self.hidden_dims):
             raise UsageError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
         if self.unified_dim < 1:
@@ -102,8 +107,7 @@ class AlignmentModel:
     temperature: float = DEFAULT_TEMPERATURE
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise UsageError(f"temperature must be positive, got {self.temperature}")
+        _check_temperature(self.temperature)
         if self.text_head.output_dim != self.image_head.output_dim:
             raise DimensionError(
                 f"heads disagree on output dim: text {self.text_head.output_dim}, "
@@ -192,8 +196,7 @@ def batch_logits(
     Both inputs must already be unit-norm rows of the same dimension, so the
     dot product is the cosine.
     """
-    if temperature <= 0:
-        raise UsageError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     img_unified = np.atleast_2d(np.asarray(img_unified, dtype=np.float64))
     txt_unified = np.atleast_2d(np.asarray(txt_unified, dtype=np.float64))
     if img_unified.shape[1] != txt_unified.shape[1]:

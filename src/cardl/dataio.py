@@ -4,11 +4,12 @@ Formats (all byte-deterministic under a fixed seed):
   - features:  one JSON object per line, fields id / modality / vector
   - pairs:     TSV rows  text_id <TAB> image_id [<TAB> label]
   - qrels:     TSV rows  query_id <TAB> doc_id <TAB> 0|1
-  - model, pair head, index, report: versioned JSON with sorted keys and
-    round-trip-exact floats (json uses the shortest exact decimal repr)
+  - model, pair head, index (format 2): a header line of sorted-key JSON,
+    then the raw little-endian float64 payload its `payload` field describes
+  - report (format 1): one line of sorted-key JSON with round-trip-exact floats
 
-Each versioned file is a JSON object with its `kind` and `format_version`
-(FORMAT_VERSIONS); `_read_doc` refuses anything else, naming the file.
+Each versioned file's header carries its `kind` and `format_version`
+(FORMAT_VERSIONS); `_read_doc` refuses any other, naming the file.
 All writes go through a write-temp-fsync-rename helper, so readers never see
 partial files and concurrent writers of one target never share a temp file.
 """
@@ -16,6 +17,7 @@ partial files and concurrent writers of one target never share a temp file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 from dataclasses import asdict, dataclass
@@ -29,40 +31,31 @@ from .alignment import (
 )
 from .errors import CardlError, DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
-from .nn import LinearLayer, MlpParams
+from .nn import MlpParams, mlp_from_flat
 from .pairhead import PairHead
 from .records import IMAGE, TEXT, FeatureRecord
 from .retrieval import UnifiedIndex, build_index
 
-# kind -> format version of each versioned JSON file
-FORMAT_VERSIONS = {"alignment_model": 1, "pair_head": 1, "unified_index": 1, "retrieval_report": 1}
-
-# The vectors this package consumes come from external encoders; recorded in
-# model files so downstream users know what produced the inputs.
-ENCODER_NOTES = {
-    "text": "precomputed by an external language-model encoder",
-    "image": "precomputed by an external CNN encoder (256x256 input convention)",
-}
+# kind -> format version of each versioned file; format 2 adds the payload
+FORMAT_VERSIONS = {"alignment_model": 2, "pair_head": 2, "unified_index": 2, "retrieval_report": 1}
+PAYLOAD_DTYPE = "<f8"
+EMPTY_PAYLOAD = {"dtype": PAYLOAD_DTYPE, "shape": [0]}  # a format-1 file has no payload
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write a temp file of a unique name in the target's directory, fsync it,
-    then rename it over the target; on any failure the temp file is removed."""
+def atomic_write(path: str | Path, *chunks: bytes | np.ndarray) -> None:
+    """Write the chunks to a temp file of a unique name in the target's directory,
+    fsync it, then rename it over the target; on any failure the temp file is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.write(text)
+        with open(tmp, "xb") as f:
+            f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -76,34 +69,64 @@ def _header(kind: str) -> dict:
     return {"kind": kind, "format_version": FORMAT_VERSIONS[kind]}
 
 
-def _write_doc(path: str | Path, kind: str, body: dict) -> None:
-    """Write a versioned document: the body plus its kind and format version."""
-    atomic_write_text(path, json.dumps({**_header(kind), **body}, sort_keys=True) + "\n")
+def _differs(found, expected) -> bool:
+    """Whether a value read from a file is not exactly the one expected (`True == 1`)."""
+    return type(found) is not type(expected) or found != expected
 
 
-def _read_doc(path: str | Path, kind: str, what: str, object_hook=None) -> dict:
-    """The JSON object of a versioned file of this kind and version."""
-    try:
-        doc = json.loads(_read_text(path, what), object_hook=object_hook)
-    except ValueError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+def _write_doc(path: str | Path, kind: str, body: dict, payload: np.ndarray | None = None) -> None:
+    """Write a versioned document: a header line of the body plus its kind and
+    format version, then the payload's raw bytes when there is one."""
+    header = {**_header(kind), **body}
+    if payload is not None:
+        payload = np.ascontiguousarray(payload, dtype=PAYLOAD_DTYPE)
+        header["payload"] = {"dtype": PAYLOAD_DTYPE, "shape": list(payload.shape)}
+    atomic_write(path, (json.dumps(header, sort_keys=True) + "\n").encode(), b"" if payload is None else payload)
+
+
+def _read_doc(path: str | Path, kind: str, what: str) -> tuple[dict, np.ndarray]:
+    """The header of a versioned file of this kind and version, and its
+    payload (empty for a format-1 kind), refusing any other file."""
     header = _header(kind)
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected {header}, found a JSON {type(doc).__name__}")
-    found = {key: doc.get(key) for key in header}
-    if found != header:
-        raise DataError(f"{path}: expected {header}, found {found}")
-    return doc
+    try:
+        with open(path, "rb") as f:
+            try:
+                doc = json.loads(f.readline())
+            except ValueError as exc:
+                raise DataError(f"{path}: not valid JSON: {exc}") from exc
+            is_dict = isinstance(doc, dict)
+            found = {key: doc.get(key) for key in header} if is_dict else f"a JSON {type(doc).__name__}"
+            if not is_dict or any(_differs(found[key], value) for key, value in header.items()):
+                raise DataError(f"{path}: expected {header}, found {found}")
+            spec = doc.get("payload") if header["format_version"] == 2 else EMPTY_PAYLOAD
+            shape = spec.get("shape") if isinstance(spec, dict) else None
+            dims_ok = isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            if not dims_ok or _differs(spec.get("dtype"), PAYLOAD_DTYPE):
+                raise DataError(f"{path}: payload must be {{'dtype': '<f8', 'shape': [sizes]}}, found {spec!r}")
+            size, left = 8 * math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
+            if left != size:
+                problem = "truncated payload" if left < size else "trailing bytes"
+                raise DataError(f"{path}: {problem}: its header declares {size} payload bytes, {left} follow it")
+            # np.fromfile returns an aligned array; BLAS is ~20x slower on a misaligned one
+            payload = np.fromfile(f, PAYLOAD_DTYPE, size // 8)
+            try:
+                payload = payload.reshape(shape)
+            except ValueError as exc:  # a shape numpy cannot make, such as one of 65 dims
+                raise DataError(f"{path}: payload shape {shape}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    return doc, payload
 
 
 # ---------------------------------------------------------------- features --
 
 def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
     lines = [
-        _json_line({"id": r.id, "modality": r.modality, "vector": r.vector.tolist()})
+        json.dumps({"id": r.id, "modality": r.modality, "vector": r.vector.tolist()},
+                   sort_keys=True, separators=(",", ":"))
         for r in records
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_features(path: str | Path) -> list[FeatureRecord]:
@@ -146,7 +169,7 @@ def save_pairs(pairs: Sequence[PairedExample], path: str | Path) -> None:
         if p.label is not None:
             row.append(p.label)
         lines.append("\t".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_qrels(qrels: Mapping[str, set[str]], path: str | Path) -> None:
@@ -155,7 +178,7 @@ def save_qrels(qrels: Mapping[str, set[str]], path: str | Path) -> None:
         for qid in sorted(qrels)
         for doc in sorted(qrels[qid])
     ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_pairs_and_qrels(
@@ -220,36 +243,32 @@ def load_pairs_and_qrels(
 
 # -------------------------------------------------------------------- model --
 
-def _layers_to_json(mlp: MlpParams) -> list[dict]:
-    return [
-        {"weight": l.weight.tolist(), "bias": l.bias.tolist()} for l in mlp.layers
-    ]
-
-
-def _layers_from_json(obj, where: str) -> MlpParams:
-    if not isinstance(obj, list) or not obj:
-        raise DataError(f"{where}: expected a nonempty list of layers")
-    layers = []
-    for k, entry in enumerate(obj):
+def _mlps_from(doc: dict, payload: np.ndarray, path: str | Path, heads: Mapping[str, str]) -> list[MlpParams]:
+    """The MLPs whose layer shapes the header fields `heads` give (field ->
+    name in messages), cut one after another from the payload."""
+    shapes = [doc.get(field) for field in heads]
+    for name, s in zip(heads.values(), shapes):
+        if not (isinstance(s, list) and s and all(
+            isinstance(p, list) and len(p) == 2 and all(type(d) is int and d >= 1 for d in p) for p in s
+        )):
+            raise DataError(f"{path}: {name}: expected a nonempty list of [out, in] layer shapes, found {s!r}")
+    ends = np.cumsum([0] + [sum(out_dim * (in_dim + 1) for out_dim, in_dim in s) for s in shapes])
+    if payload.shape != (ends[-1],):
+        raise DataError(f"{path}: payload shape {list(payload.shape)} does not match the layer shapes")
+    mlps = []
+    for name, s, lo, hi in zip(heads.values(), shapes, ends, ends[1:]):
         try:
-            weight = np.array(entry["weight"], dtype=np.float64)
-            bias = np.array(entry["bias"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where} layer {k}: malformed arrays: {exc}") from exc
-        if weight.ndim != 2:
-            raise DataError(f"{where} layer {k}: weight rows have ragged lengths")
-        if bias.ndim != 1 or bias.size != weight.shape[0]:
-            raise DataError(
-                f"{where} layer {k}: bias length {bias.size} does not match "
-                f"{weight.shape[0]} weight rows"
-            )
-        layers.append(LinearLayer(weight, bias))
-    try:
-        return MlpParams(layers)
-    except DimensionError as exc:
-        raise DataError(f"{where}: inconsistent layer shapes: {exc}") from exc
-    except NumericError as exc:
-        raise DataError(f"{where}: {exc}") from exc
+            mlps.append(mlp_from_flat(s, payload[lo:hi]))
+        except CardlError as exc:  # layers that do not chain, or a non-finite parameter
+            raise DataError(f"{path}: {name}: {exc}") from exc
+    return mlps
+
+
+def _check_declared(doc: dict, path: str | Path, obj, names: Sequence[str], source: str) -> None:
+    """Each header field in `names` must equal the same attribute of `obj`."""
+    for name in names:
+        if _differs(doc.get(name), getattr(obj, name)):
+            raise DataError(f"{path}: {name} is {doc.get(name)!r}; {source} {getattr(obj, name)}")
 
 
 def save_model(
@@ -265,97 +284,64 @@ def save_model(
         "temperature": model.temperature,
         "text_input_dim": model.text_input_dim,
         "image_input_dim": model.image_input_dim,
-        "text_head": _layers_to_json(model.text_head),
-        "image_head": _layers_to_json(model.image_head),
+        "text_head": model.text_head.shapes,
+        "image_head": model.image_head.shapes,
         "train_config": None if train_config is None else asdict(train_config),
         "seed": seed,
-        "encoder_notes": ENCODER_NOTES,
-    })
+    }, payload=np.concatenate([model.text_head.flat, model.image_head.flat]))
 
 
 def load_model(path: str | Path) -> AlignmentModel:
     """Reload a saved model; projections are bit-identical to the original."""
-    doc = _read_doc(path, "alignment_model", "model")
+    doc, payload = _read_doc(path, "alignment_model", "model")
+    heads = _mlps_from(doc, payload, path, {"text_head": "text_head", "image_head": "image_head"})
     try:
-        model = AlignmentModel(
-            text_head=_layers_from_json(doc["text_head"], f"{path}: text_head"),
-            image_head=_layers_from_json(doc["image_head"], f"{path}: image_head"),
-            temperature=float(doc["temperature"]),
-        )
-        for name in ("unified_dim", "text_input_dim", "image_input_dim"):
-            if doc[name] != getattr(model, name):
-                raise DataError(
-                    f"{path}: {name} is {doc[name]!r}; its heads give {getattr(model, name)}"
-                )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc}") from exc
+        model = AlignmentModel(*heads, temperature=float(doc.get("temperature")))
     except (TypeError, ValueError) as exc:  # a temperature that is not a number
         raise DataError(f"{path}: malformed temperature: {exc}") from exc
-    except UsageError as exc:  # heads that disagree, or a temperature <= 0
+    except UsageError as exc:  # heads that disagree, or a temperature not positive and finite
         raise DataError(f"{path}: {exc}") from exc
+    _check_declared(doc, path, model, ("unified_dim", "text_input_dim", "image_input_dim"), "its heads give")
     return model
 
 
 def save_pair_head(head: PairHead, path: str | Path, seed: int | None = None) -> None:
     _write_doc(path, "pair_head", {
         "embedding_dim": head.embedding_dim,
-        "mlp": _layers_to_json(head.mlp),
+        "mlp": head.mlp.shapes,
         "seed": seed,
-    })
+    }, payload=head.mlp.flat)
 
 
 def load_pair_head(path: str | Path) -> PairHead:
-    doc = _read_doc(path, "pair_head", "pair head")
-    return PairHead(_layers_from_json(doc.get("mlp"), f"{path}: pair head"))
+    doc, payload = _read_doc(path, "pair_head", "pair head")
+    try:
+        head = PairHead(*_mlps_from(doc, payload, path, {"mlp": "pair head"}))
+    except DimensionError as exc:  # not 4*d inputs, or not one output
+        raise DataError(f"{path}: pair head: {exc}") from exc
+    _check_declared(doc, path, head, ("embedding_dim",), "its head gives")
+    return head
 
 
 # -------------------------------------------------------------------- index --
 
 def save_index(index: UnifiedIndex, path: str | Path) -> None:
-    entries = [
-        {"id": id_, "modality": mod, "vector": index.vectors[row].tolist()}
-        for row, (id_, mod) in enumerate(zip(index.ids, index.modalities))
-    ]
-    _write_doc(path, "unified_index", {"dimension": index.dimension, "entries": entries})
-
-
-def _vector_as_array(obj: dict) -> dict:
-    """JSON object hook: an entry's vector becomes a float64 array as soon as
-    it is parsed.  A load then never holds every coordinate as a Python
-    float at once, and the document's memory is reused entry by entry
-    instead of staying fragmented while the index lives."""
-    if isinstance(obj.get("vector"), list):
-        obj["vector"] = np.asarray(obj["vector"], dtype=np.float64)
-    return obj
+    body = {"ids": list(index.ids), "modalities": list(index.modalities)}
+    _write_doc(path, "unified_index", body, payload=index.vectors)
 
 
 def load_index(path: str | Path) -> UnifiedIndex:
     """Reload an index verbatim (no renormalization, so round-trips are exact);
     `UnifiedIndex` checks the entries, and its errors gain the path."""
-    doc = _read_doc(path, "unified_index", "index", object_hook=_vector_as_array)
-    entries = doc.get("entries", [])
-    if not isinstance(entries, list):
-        raise DataError(f"{path}: entries must be a list, got {type(entries).__name__}")
-    if not entries:
-        return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
-    ids, modalities, rows = [], [], []
-    dim = doc.get("dimension")
-    for k, entry in enumerate(entries):
-        try:
-            id_, mod = str(entry["id"]), entry["modality"]
-            vec = np.asarray(entry["vector"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed entry {k}: {exc}") from exc
-        if vec.ndim != 1 or vec.size != dim:
-            raise DataError(
-                f"{path}: entry {id_!r}: vector dim {vec.size} does not match "
-                f"declared dimension {dim}"
-            )
-        ids.append(id_)
-        modalities.append(mod)
-        rows.append(vec)
+    doc, vectors = _read_doc(path, "unified_index", "index")
+    ids, modalities = doc.get("ids"), doc.get("modalities")
+    if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in (ids, modalities)):
+        raise DataError(f"{path}: ids and modalities must be lists of strings")
+    if not (vectors.ndim == 2 and vectors.shape[0] == len(ids) == len(modalities)):
+        raise DataError(f"{path}: payload shape {list(vectors.shape)} does not match "
+                        f"{len(ids)} ids and {len(modalities)} modalities")
     try:
-        return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=np.stack(rows))
+        return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=vectors)
     except CardlError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -378,7 +364,7 @@ def save_report(reports: Mapping[str, EvalReport], path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> dict[str, EvalReport]:
-    doc = _read_doc(path, "retrieval_report", "report")
+    doc, _ = _read_doc(path, "retrieval_report", "report")
     directions = doc.get("directions", {})
     if not isinstance(directions, dict):
         raise DataError(f"{path}: directions must be an object, got {type(directions).__name__}")

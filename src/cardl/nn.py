@@ -76,7 +76,7 @@ class MlpParams:
                     f"produces {prev.out_dim}"
                 )
         self.flat = np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
-        views = _layer_views(self.flat, self.layers)
+        views = _layer_views(self.flat, self.shapes)
         if not np.isfinite(self.flat).all():
             raise NumericError(f"non-finite parameter at layer {_first_non_finite(views)}")
         self.layers = [LinearLayer(w, b) for w, b in views]
@@ -89,17 +89,22 @@ class MlpParams:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    @property
+    def shapes(self) -> list[tuple[int, int]]:
+        """Each layer's weight shape (out_dim, in_dim); with `flat` they make the MLP."""
+        return [l.weight.shape for l in self.layers]
+
     def copy(self) -> "MlpParams":
         return MlpParams(self.layers)  # construction copies into a new flat vector
 
 
 def _layer_views(
-    flat: np.ndarray, layers: Sequence[LinearLayer]
+    flat: np.ndarray, shapes: Sequence[tuple[int, int]]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views of `flat`, shaped like `layers`, in the MlpParams.flat layout."""
+    """(weight, bias) views of `flat` for layers of these weight shapes, in the
+    MlpParams.flat layout."""
     views, i = [], 0
-    for layer in layers:
-        out_dim, in_dim = layer.weight.shape
+    for out_dim, in_dim in shapes:
         w = flat[i : i + out_dim * in_dim].reshape(out_dim, in_dim)
         i += out_dim * in_dim
         views.append((w, flat[i : i + out_dim]))
@@ -332,10 +337,17 @@ def flatten_params(params: MlpParams) -> np.ndarray:
 
 def unflatten_params(template: MlpParams, vec: np.ndarray) -> MlpParams:
     """New parameters shaped like `template`, copied from a vector in its flat layout."""
+    return mlp_from_flat(template.shapes, vec)
+
+
+def mlp_from_flat(shapes: Sequence[tuple[int, int]], vec: np.ndarray) -> MlpParams:
+    """New parameters with these (out_dim, in_dim) layer shapes, copied from a
+    vector in the MlpParams.flat layout."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != template.flat.shape:
-        raise DimensionError(f"vector has {vec.size} entries, template needs {template.flat.size}")
-    return MlpParams([LinearLayer(w, b) for w, b in _layer_views(vec, template.layers)])
+    size = sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+    if vec.shape != (size,):
+        raise DimensionError(f"vector has {vec.size} entries, layer shapes {list(shapes)} need {size}")
+    return MlpParams([LinearLayer(w, b) for w, b in _layer_views(vec, shapes)])
 
 
 def flatten_grads(grads: GradientSet) -> np.ndarray:

@@ -91,14 +91,10 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
         raise DataError(
             f"need both classes to train: got {n_pos} positives out of {len(examples)}"
         )
-    dims = {e.x.size for e in examples}
-    if len(dims) > 1:
-        raise DimensionError(f"examples mix embedding dims {sorted(dims)}")
-    d = dims.pop()
-
-    features = np.stack([combine_pair(e.x, e.y) for e in examples])
+    features = _pair_features(examples)
     targets = np.array([float(e.relevant) for e in examples])
 
+    d = features.shape[1] // 4
     mlp = init_mlp([4 * d, 2 * d, 1], np.random.default_rng(config.seed & _SEED_MASK))
     state = AdamState.zeros_like(mlp)
     adam = config.adam()
@@ -113,12 +109,7 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
 
 def predict_pair(head: PairHead, x: np.ndarray, y: np.ndarray) -> float:
     """Relevance probability in [0, 1] for one pair."""
-    feat = combine_pair(x, y)
-    if feat.size != head.mlp.input_dim:
-        raise DimensionError(
-            f"pair feature has dim {feat.size}, head expects {head.mlp.input_dim}"
-        )
-    logits, _ = mlp_forward(head.mlp, feat[None, :])
+    logits, _ = mlp_forward(head.mlp, combine_pair(x, y)[None, :])
     return float(sigmoid(logits[0, 0]))
 
 
@@ -126,7 +117,13 @@ def pair_accuracy(head: PairHead, examples: list[PairExample]) -> float:
     """Fraction of examples classified correctly at the 0.5 threshold."""
     if not examples:
         raise UsageError("no examples to score")
-    hits = sum(
-        (predict_pair(head, e.x, e.y) > 0.5) == e.relevant for e in examples
-    )
-    return hits / len(examples)
+    logits, _ = mlp_forward(head.mlp, _pair_features(examples))
+    hits = (sigmoid(logits[:, 0]) > 0.5) == np.array([e.relevant for e in examples])
+    return np.count_nonzero(hits) / len(examples)
+
+
+def _pair_features(examples: list[PairExample]) -> np.ndarray:
+    dims = {e.x.size for e in examples}
+    if len(dims) > 1:
+        raise DimensionError(f"examples mix embedding dims {sorted(dims)}")
+    return np.stack([combine_pair(e.x, e.y) for e in examples])

@@ -71,6 +71,8 @@ def test_train_config_defaults():
         {"temperature": -0.07},
         {"hidden_dims": (0,)},
         {"unified_dim": 0},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
     ],
 )
 def test_train_config_rejects(kwargs):

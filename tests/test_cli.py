@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ from cardl.alignment import linear_model
 from cardl.cli import cli_main
 from cardl.dataio import load_features, load_index, load_model, load_report, save_index, save_model
 from cardl.retrieval import build_index
+from fileedit import edit_file, read_file
+from test_acceptance import run_pipeline
 
 
 @pytest.fixture()
@@ -202,38 +205,39 @@ EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{o
     [
         (["synth", "--out-dir", "{out}", "--no-such-flag", "x"], None, 1),
         (QUERY + ["--features", "{features}"], None, 1),  # no --model to project them
-        (EMBED, ("model", ["unified_dim"], 3), 2),  # the heads output 2 dims
-        (EMBED, ("model", ["text_head", 0, "weight", 0, 0], float("nan")), 2),
-        (EMBED, ("model", ["temperature"], "hot"), 2),
-        (QUERY, ("index", ["entries", 0, "vector"], [2.0, 0.0]), 3),  # not unit-norm
-        (QUERY + ["--model", "{model}", "--features", "{features}"], ("features", ["vector"], [0.0, 0.0]), 3),
+        (EMBED, ("model", 3, {"header": ["unified_dim"]}), 2),  # the heads output 2 dims
+        (EMBED, ("model", float("nan"), {"payload": 0}), 2),  # text head, layer 0, weight [0, 0]
+        (EMBED, ("model", "hot", {"header": ["temperature"]}), 2),
+        (EMBED, ("model", float("nan"), {"header": ["temperature"]}), 2),
+        (EMBED, ("model", float("inf"), {"header": ["temperature"]}), 2),
+        (QUERY, ("index", [2.0, 0.0], {"payload": 0}), 3),  # not unit-norm
+        (QUERY + ["--model", "{model}", "--features", "{features}"], ("features", [0.0, 0.0], None), 3),
         (["query", "--index", "{model}", "--id", "t0", "--direction", "txt2img",
           "--model", "{model}", "--features", "{features}"], None, 2),  # a model is no index
-        (EMBED, ("model", [], []), 2),  # a top-level JSON list
+        (EMBED, ("model", [], {"header": []}), 2),  # a top-level JSON list
         (["pairhead-train", "--features", "{features}", "--pairs", "{out}", "--out", "{out}",
           "--negatives-per-positive", "0"], None, 1),  # refused before any file is read
     ],
     ids=["unknown flag", "features without model", "model dims disagree", "NaN weight",
-         "temperature not a number", "index entry not unit-norm", "all-zero raw query",
-         "model file as index", "model file holds a list", "no negatives per positive"],
+         "temperature not a number", "NaN temperature", "infinite temperature",
+         "index entry not unit-norm", "all-zero raw query", "model file as index",
+         "model file holds a list", "no negatives per positive"],
 )
-def test_exit_code_matches_the_error_class(tmp_path, argv, edit, code):
+def test_exit_code_matches_the_error_class(tmp_path, capsys, argv, edit, code):
     files = {name: tmp_path / name for name in ("index", "model", "features", "out")}
     save_index(build_index([("t0", "text", [1.0, 0.0]), ("i0", "image", [0.0, 1.0])]), files["index"])
     save_model(linear_model(np.eye(2), np.eye(2)), files["model"])
-    files["features"].write_text(json.dumps({"id": "t0", "modality": "text", "vector": [0.6, 0.8]}))
-    if edit is not None:  # rewrite one value of a file, reached by a path of keys
-        name, keys, value = edit
-        doc = json.loads(files[name].read_text())
-        parent = doc
-        for key in keys[:-1]:
-            parent = parent[key]
-        if keys:
-            parent[keys[-1]] = value
-        else:  # an empty path replaces the whole document
-            doc = value
-        files[name].write_text(json.dumps(doc))
+    features = {"id": "t0", "modality": "text", "vector": [0.6, 0.8]}
+    if edit is not None:
+        name, value, where = edit
+        if name == "features":
+            features["vector"] = value
+        else:  # one header field or payload element of a versioned file
+            edit_file(files[name], value, **where)
+    files["features"].write_text(json.dumps(features))
     assert run([arg.format(**files) for arg in argv]) == code
+    if code == 2:  # each data error here is in the model file, and names it
+        assert str(files["model"]) in capsys.readouterr().err
 
 
 def test_train_determinism_across_invocations(synth_dir, tmp_path):
@@ -248,6 +252,29 @@ def test_train_determinism_across_invocations(synth_dir, tmp_path):
     assert run(args + ["--out", m1]) == 0
     assert run(args + ["--out", m2]) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_criterion_8_pipeline_keeps_its_content_hashes(tmp_path, capsys):
+    """The values the criterion-8 pipeline writes, apart from how files encode
+    them: the report's bytes, the index's ids, modalities and little-endian
+    float64 vectors, and the model heads' flat parameters and temperature."""
+    run_pipeline(tmp_path)
+    capsys.readouterr()
+    index, model = load_index(tmp_path / "index.json"), load_model(tmp_path / "model.json")
+    index_hash = hashlib.sha256()
+    for id_, modality in zip(index.ids, index.modalities):
+        index_hash.update(f"{id_}\0{modality}\0".encode())
+    index_hash.update(index.vectors.astype("<f8").tobytes())
+    model_bytes = [model.text_head.flat, model.image_head.flat, np.array([model.temperature])]
+    assert {
+        "report": hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest(),
+        "index": index_hash.hexdigest(),
+        "model": hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in model_bytes)).hexdigest(),
+    } == {
+        "report": "b58e731f24d4c918b75ecbef56a17b6e7bd0439e72bcb751b3e3b1fc6e7a02ae",
+        "index": "4f6820437ac6347521b80ff19bb558d838ff2fa829bf839dedafd92c97125682",
+        "model": "a84c2afdb01d2948e07bc10e091a10caad0be2ac49acad33781d88d423fca71a",
+    }
 
 
 def test_seed_env_fallback(synth_dir, tmp_path, monkeypatch):
@@ -268,7 +295,7 @@ def test_seed_env_fallback(synth_dir, tmp_path, monkeypatch):
     assert run(base + ["--out", unseeded]) == 0
 
     def weights(path):
-        return json.loads(path.read_text())["text_head"]
+        return read_file(path)[1].tobytes()
 
     assert weights(flagged) == weights(via_env)  # env var supplies the seed
     assert weights(flagged) != weights(unseeded)  # fallback default is seed 0

@@ -4,13 +4,17 @@ import re
 import sys
 import threading
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from cardl.alignment import PairedExample, TrainConfig, fit, linear_model, project
 from cardl.dataio import (
+    FORMAT_VERSIONS,
     SyntheticConfig,
-    atomic_write_text,
+    atomic_write,
     build_index_from_records,
     format_report_table,
     generate_synthetic,
@@ -36,6 +40,7 @@ from cardl.nn import init_mlp
 from cardl.pairhead import PairExample, PairHead, fit_pair_head, predict_pair
 from cardl.records import FeatureRecord
 from cardl.retrieval import build_index
+from fileedit import edit_file, read_file
 
 
 def small_records(seed=0):
@@ -223,9 +228,7 @@ def test_model_version_mismatch_names_both(tmp_path):
     model, _ = fit(texts, images, pairs, TrainConfig(epochs=0, hidden_dims=(4,), unified_dim=2))
     path = tmp_path / "m.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
+    edit_file(path, 99, header=["format_version"])
     with pytest.raises(DataError, match="99"):
         load_model(path)
 
@@ -236,9 +239,7 @@ def test_model_corrupt_layer_is_a_data_error(tmp_path):
     model, _ = fit(texts, images, pairs, TrainConfig(epochs=0, hidden_dims=(4,), unified_dim=2))
     path = tmp_path / "m.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["text_head"][0]["weight"] = "garbage"
-    path.write_text(json.dumps(doc))
+    edit_file(path, "garbage", header=["text_head", 0])
     with pytest.raises(DataError, match="text_head"):
         load_model(path)
 
@@ -249,17 +250,17 @@ def test_model_corrupt_layer_is_a_data_error(tmp_path):
         ("unified_dim", 3, "unified_dim is 3; its heads give 2"),
         ("text_input_dim", 7, "text_input_dim is 7; its heads give 5"),
         ("image_input_dim", "4", "image_input_dim is '4'; its heads give 4"),
-        ("image_head", [{"weight": [[1.0, 0.0, 0.0, 0.0]], "bias": [0.0]}], "heads disagree on output dim"),
+        ("image_head", [[1, 9]], "heads disagree on output dim"),  # same payload size as [[2, 4]]
+        ("unified_dim", 2.0, "unified_dim is 2.0; its heads give 2"),
     ],
 )
 def test_model_load_checks_declared_dims_against_the_heads(tmp_path, field, value, message):
     model = linear_model(np.ones((2, 5)), np.ones((2, 4)))
     path = tmp_path / "m.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
+    doc, _ = read_file(path)
     assert (doc["unified_dim"], doc["text_input_dim"], doc["image_input_dim"]) == (2, 5, 4)
-    doc[field] = value
-    path.write_text(json.dumps(doc))
+    edit_file(path, value, header=[field])
     with pytest.raises(DataError, match=rf"m\.json: {message}"):
         load_model(path)
 
@@ -269,7 +270,7 @@ def test_model_echoes_every_train_config_field(tmp_path):
     texts, images = small_records()
     model, _ = fit(texts, images, [PairedExample(f"t{k}", f"i{k}") for k in range(4)], cfg)
     save_model(model, tmp_path / "m.json", train_config=cfg)
-    echo = json.loads((tmp_path / "m.json").read_text())["train_config"]
+    echo = read_file(tmp_path / "m.json")[0]["train_config"]
     assert TrainConfig(**echo) == cfg and echo["hidden_dims"] == [4, 3]
 
 
@@ -277,14 +278,14 @@ def test_model_echoes_every_train_config_field(tmp_path):
 
 def test_atomic_write_failure_keeps_the_old_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "out.json"
-    atomic_write_text(target, "old\n")
+    atomic_write(target, b"old\n")
 
     def failing_replace(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="disk full"):
-        atomic_write_text(target, "new\n")
+        atomic_write(target, b"new\n")
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -297,7 +298,7 @@ def test_atomic_writes_from_four_threads_leave_one_complete_text(tmp_path):
     def writer(text):
         try:
             for _ in range(25):
-                atomic_write_text(target, text)
+                atomic_write(target, text.encode())
         except OSError as exc:  # a thread's exception would not fail the test by itself
             errors.append(exc)
 
@@ -320,7 +321,7 @@ def test_atomic_writes_from_four_threads_leave_one_complete_text(tmp_path):
 def test_atomic_write_gives_a_new_file_the_usual_permissions(tmp_path):
     plain = tmp_path / "plain.txt"
     plain.write_text("x")
-    atomic_write_text(tmp_path / "atomic.txt", "x")
+    atomic_write(tmp_path / "atomic.txt", b"x")
     assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
 
 
@@ -342,6 +343,14 @@ def test_pair_head_round_trip(tmp_path):
     assert predict_pair(back, x, y) == predict_pair(head, x, y)
 
 
+def test_pair_head_load_checks_its_declared_embedding_dim(tmp_path):
+    path = tmp_path / "h.json"
+    save_pair_head(PairHead(init_mlp([8, 1], np.random.default_rng(0))), path)
+    edit_file(path, 99, header=["embedding_dim"])
+    with pytest.raises(DataError, match=r"h\.json: embedding_dim is 99; its head gives 2"):
+        load_pair_head(path)
+
+
 # ------------------------------------------------------------------- index --
 
 def test_index_round_trip_byte_exact(tmp_path):
@@ -358,13 +367,32 @@ def test_index_round_trip_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.text(), unique=True, max_size=6),
+    dim=st.integers(1, 4),
+    data=st.data(),
+)
+def test_index_round_trip_is_byte_exact_for_any_ids_and_vectors(tmp_path_factory, ids, dim, data):
+    modalities = data.draw(st.lists(st.sampled_from(["text", "image"]), min_size=len(ids), max_size=len(ids)))
+    vectors = data.draw(hnp.arrays(np.float64, (len(ids), dim), elements=st.floats(-1e300, 1e300)))
+    assume(np.all(np.any(vectors != 0, axis=1)))
+    index = build_index(list(zip(ids, modalities, vectors)))
+    directory = tmp_path_factory.mktemp("index")
+    save_index(index, directory / "a.json")
+    back = load_index(directory / "a.json")
+    assert (back.ids, back.modalities) == (index.ids, index.modalities)
+    assert back.vectors.tobytes() == index.vectors.tobytes()
+    assert back.vectors.flags.aligned  # a misaligned array slows every BLAS screen
+    save_index(back, directory / "b.json")
+    assert (directory / "a.json").read_bytes() == (directory / "b.json").read_bytes()
+
+
 def test_index_load_rejects_non_unit_rows(tmp_path):
     index = build_index([("a", "text", np.array([1.0, 0.0]))])
     path = tmp_path / "i.json"
     save_index(index, path)
-    doc = json.loads(path.read_text())
-    doc["entries"][0]["vector"] = [2.0, 0.0]
-    path.write_text(json.dumps(doc))
+    edit_file(path, [2.0, 0.0], payload=0)
     with pytest.raises(NumericError, match="unit-norm"):
         load_index(path)
 
@@ -375,9 +403,7 @@ def test_index_load_rejects_unsorted_entries(tmp_path):
     )
     path = tmp_path / "i.json"
     save_index(index, path)
-    doc = json.loads(path.read_text())
-    doc["entries"].reverse()
-    path.write_text(json.dumps(doc))
+    edit_file(path, ["b", "a"], header=["ids"])
     with pytest.raises(DataError, match="canonical"):
         load_index(path)
 
@@ -392,15 +418,12 @@ def test_empty_index_round_trip(tmp_path):
 def test_index_load_rejects_duplicate_ids_and_unknown_modalities_by_id(tmp_path):
     index = build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))])
     path = tmp_path / "i.json"
-    save_index(index, path)
-    text = path.read_text()
     for field, value, message in (
-        ("id", "a", "'a': duplicate id"),
-        ("modality", "audio", "'b': unknown modality 'audio'"),
+        ("ids", "a", "'a': duplicate id"),
+        ("modalities", "audio", "'b': unknown modality 'audio'"),
     ):
-        doc = json.loads(text)
-        doc["entries"][1][field] = value
-        path.write_text(json.dumps(doc))
+        save_index(index, path)
+        edit_file(path, value, header=[field, 1])
         with pytest.raises(DataError, match=rf"i\.json: entry {message}"):
             load_index(path)
 
@@ -466,23 +489,76 @@ def test_versioned_loaders_refuse_other_documents_naming_the_file(tmp_path, name
     paths = _write_each_format(tmp_path)
     path = paths[name]
     loader, kind = LOADERS[name]
-    doc = json.loads(path.read_text())
-    expected = {"kind": kind, "format_version": 1}
+    expected = {"kind": kind, "format_version": FORMAT_VERSIONS[kind]}
     if case == "top-level list":
-        doc, found = [], "a JSON list"
+        edit_file(path, [], header=[])
+        found = "a JSON list"
     elif case == "another format's file":
-        doc = json.loads(paths["index" if name == "model" else "model"].read_text())
-        found = str({"kind": doc["kind"], "format_version": 1})
+        other = "index" if name == "model" else "model"
+        path.write_bytes(paths[other].read_bytes())
+        found = str({"kind": LOADERS[other][1], "format_version": 2})
     elif case == "no kind":
-        del doc["kind"]
-        found = str({"kind": None, "format_version": 1})
+        edit_file(path, None, header=["kind"])
+        found = str({"kind": None, "format_version": expected["format_version"]})
     else:
-        doc["format_version"] = 99
+        edit_file(path, 99, header=["format_version"])
         found = str({**expected, "format_version": 99})
-    path.write_text(json.dumps(doc))
     message = rf"{name}\.json: expected {re.escape(str(expected))}, found {re.escape(found)}$"
     with pytest.raises(DataError, match=message):
         loader(path)
+
+
+@pytest.mark.parametrize("name, version", [
+    ("model", 1), ("pair_head", 1), ("index", 1), ("model", 2.0), ("report", True), ("report", 1.0),
+])
+def test_versioned_loaders_refuse_other_versions_by_type_and_value(tmp_path, name, version):
+    """Format-1 model, pair-head and index files are refused, as is a version
+    equal to the expected one in Python but not in type (`True == 1`)."""
+    path = _write_each_format(tmp_path)[name]
+    loader, kind = LOADERS[name]
+    edit_file(path, version, header=["format_version"])
+    found = {"kind": kind, "format_version": version}
+    with pytest.raises(DataError, match=rf"{name}\.json: expected .*, found {re.escape(str(found))}$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("name", ["index", "model", "pair_head"])
+@pytest.mark.parametrize("case, message", [
+    ("truncated", "truncated payload: its header declares"),
+    ("trailing bytes", "trailing bytes: its header declares \\d+ payload bytes, \\d+ follow it"),
+    ("dtype <f4", "payload must be {'dtype': '<f8', 'shape': \\[sizes\\]}, found"),
+    ("shape disagrees with the header", "payload shape \\[{size}, 1\\] does not match"),
+], ids=["truncated", "trailing bytes", "dtype <f4", "shape disagrees with the header"])
+def test_damaged_payloads_are_data_errors_naming_the_file(tmp_path, name, case, message):
+    path = _write_each_format(tmp_path)[name]
+    data = path.read_bytes()
+    if case == "truncated":
+        path.write_bytes(data[:-8])
+    elif case == "trailing bytes":
+        path.write_bytes(data + bytes(8))
+    elif case == "dtype <f4":
+        edit_file(path, "<f4", header=["payload", "dtype"])
+    else:  # as many values, in a shape the ids or the layer shapes do not give
+        size = read_file(path)[1].size
+        edit_file(path, [size, 1], header=["payload", "shape"])
+        message = message.format(size=size)
+    with pytest.raises(DataError, match=rf"{name}\.json: {message}"):
+        LOADERS[name][0](path)
+
+
+def test_payload_shape_numpy_cannot_make_is_a_data_error(tmp_path):
+    path = tmp_path / "i.json"
+    save_index(build_index([]), path)
+    edit_file(path, [0] * 65, header=["payload", "shape"])  # numpy allows 64 dims
+    with pytest.raises(DataError, match=r"i\.json: payload shape \[0, 0, "):
+        load_index(path)
+
+
+def test_report_with_trailing_bytes_is_a_data_error(tmp_path):
+    path = _write_each_format(tmp_path)["report"]
+    path.write_bytes(path.read_bytes() + b"{}")
+    with pytest.raises(DataError, match=r"report\.json: trailing bytes: its header declares 0 payload bytes, 2"):
+        load_report(path)
 
 
 def test_report_table_shape():
@@ -592,9 +668,8 @@ def test_model_load_rejects_non_finite_weights_naming_file_head_and_layer(tmp_pa
     model, _ = fit(texts, images, pairs, TrainConfig(epochs=0, hidden_dims=(4,), unified_dim=2))
     path = tmp_path / "m.json"
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc["image_head"][1]["weight"][0][1] = bad
-    path.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    first = model.image_head.layers[0]  # image_head layer 1, weight [0, 1]:
+    edit_file(path, bad, payload=model.text_head.flat.size + first.weight.size + first.bias.size + 1)
     with pytest.raises(DataError, match=r"m\.json: image_head: non-finite parameter at layer 1"):
         load_model(path)
 
@@ -604,9 +679,7 @@ def test_pair_head_load_rejects_non_finite_weights(tmp_path, bad):
     head = PairHead(init_mlp([8, 4, 1], np.random.default_rng(0)))
     path = tmp_path / "h.json"
     save_pair_head(head, path)
-    doc = json.loads(path.read_text())
-    doc["mlp"][0]["weight"][2][5] = bad
-    path.write_text(json.dumps(doc))
+    edit_file(path, bad, payload=2 * 8 + 5)  # layer 0, weight [2, 5] of 8 columns
     with pytest.raises(DataError, match=r"h\.json: pair head: non-finite parameter at layer 0"):
         load_pair_head(path)
 
@@ -616,8 +689,6 @@ def test_index_load_rejects_non_finite_rows_by_id(tmp_path, bad):
     index = build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))])
     path = tmp_path / "i.json"
     save_index(index, path)
-    doc = json.loads(path.read_text())
-    doc["entries"][1]["vector"] = [bad, 0.0]
-    path.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    edit_file(path, [bad, 0.0], payload=1)
     with pytest.raises(DataError, match="'b'.*not finite"):
         load_index(path)
