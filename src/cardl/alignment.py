@@ -134,58 +134,60 @@ class AlignmentModel:
 _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||.  When ||v|| = sqrt(v.v) is below _NORM_FLOOR or overflows
-    to inf although v is finite and nonzero, v is first divided by max|v|.
-    numpy still warns of such an overflow unless the caller suppresses
-    floating-point errors."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm < _NORM_FLOOR or norm == np.inf:
-        scale = np.abs(v).max(initial=0.0)
-        if 0.0 < scale < np.inf:
-            v = v / scale
-            norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise NumericError("cannot normalize the zero vector (cosine undefined)")
-    return v / norm
+def _dot_norms(matrix: np.ndarray) -> np.ndarray:
+    """sqrt(row . row) per row, one dot each in a stacked matmul: the bits of np.linalg.norm(row)."""
+    return np.sqrt(matrix[:, None, :] @ matrix[:, :, None]).reshape(len(matrix))
 
 
-def _unit_rows(
-    matrix: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row over its L2 norm, and those norms; a zero row is a NumericError.
-
-    A row whose norm is below _NORM_FLOOR or overflows goes through
-    `l2_normalize`, and its norm is recomputed as row . unit.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
+def _unit_rows(matrix: np.ndarray, norms: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector",
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row over its given L2 norm, into `out` (`matrix` itself too), and
+    the norms; a zero row is a NumericError naming its id.  A finite row whose
+    norm is below _NORM_FLOOR or overflows is first divided by max|row|, then
+    by its `_dot_norms`; its norm is recomputed as row . unit."""
     if _NORM_FLOOR <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
-        return matrix / norms[:, None], norms
+        return np.divide(matrix, norms[:, None], out=out), norms
+    bad = np.flatnonzero((norms < _NORM_FLOOR) | (norms == np.inf))
+    rows = matrix[bad]  # a copy, taken before `out` may overwrite `matrix`
+    scale = np.abs(rows).max(axis=1, initial=0.0)
+    scaled = rows / np.where((0.0 < scale) & (scale < np.inf), scale, 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        unit = matrix / norms[:, None]  # the rescued rows are overwritten below
-    for row in np.flatnonzero((norms < _NORM_FLOOR) | (norms == np.inf)):
-        try:
-            unit[row] = l2_normalize(matrix[row])
-        except NumericError:
-            who = ids[row] if ids is not None else f"row {row}"
-            raise NumericError(f"cannot normalize zero {what} ({who})") from None
-        norms[row] = matrix[row] @ unit[row]
+        rescued = _dot_norms(scaled)
+        if (rescued == 0.0).any():
+            row = bad[np.argmax(rescued == 0.0)]
+            raise NumericError(f"cannot normalize zero {what} ({ids[row] if ids is not None else f'row {row}'})")
+        unit = np.divide(matrix, norms[:, None], out=out)  # the rescued rows are overwritten below
+        unit[bad] = scaled / rescued[:, None]
+        norms[bad] = (rows[:, None, :] @ unit[bad][:, :, None]).reshape(len(bad))
     return unit, norms
+
+
+def l2_normalize(v: np.ndarray, ids: Sequence[str] | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """A vector, or each row of a matrix (see `project`), over its L2 norm
+    sqrt(row . row), into `out` when given (a matrix, v itself too); a zero
+    row is a NumericError naming its id.  numpy warns when ||row||**2
+    overflows unless the caller suppresses floating-point errors."""
+    v = np.asarray(v, dtype=np.float64)
+    rows = np.atleast_2d(v)
+    return _unit_rows(rows, _dot_norms(rows), ids, out=out)[0].reshape(v.shape)
 
 
 def normalize_rows(matrix: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
     """L2-normalize each row; a zero row is a hard numeric failure."""
-    return _unit_rows(matrix, ids)[0]
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return _unit_rows(matrix, np.linalg.norm(matrix, axis=1), ids)[0]
 
 
-def project(
-    head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = None
-) -> np.ndarray:
-    """Map raw features into the unified space; output rows are unit-norm."""
-    out, _ = mlp_forward(head, np.atleast_2d(np.asarray(features, dtype=np.float64)))
-    return normalize_rows(out, ids)
+def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
+    """Map raw features into the unified space; output rows are unit-norm.
+
+    Each row is projected and normalized on its own, so its bits do not
+    depend on the other rows: the forward pass runs on `rows[:, None, :]`,
+    where matmul makes one GEMV per row (one GEMM rounds differently), and
+    `np.linalg.norm(axis=1)` and `l2_normalize` reduce each row apart.
+    """
+    rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    return normalize_rows(mlp_forward(head, rows[:, None, :])[0][:, 0], ids)
 
 
 def batch_logits(
@@ -293,8 +295,8 @@ def alignment_gradients(
 
     raw_txt, cache_txt = mlp_forward(model.text_head, text_batch)
     raw_img, cache_img = mlp_forward(model.image_head, image_batch)
-    u_txt, norms_txt = _unit_rows(raw_txt, what="text projection")
-    u_img, norms_img = _unit_rows(raw_img, what="image projection")
+    u_txt, norms_txt = _unit_rows(raw_txt, np.linalg.norm(raw_txt, axis=1), what="text projection")
+    u_img, norms_img = _unit_rows(raw_img, np.linalg.norm(raw_img, axis=1), what="image projection")
     tau = model.temperature
     losses, p_i2t, yt, p_t2i = _directional(batch_logits(u_img, u_txt, tau), y)
 

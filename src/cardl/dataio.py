@@ -27,13 +27,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .alignment import (
-    _SEED_MASK, DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model,
+    _SEED_MASK, DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model, project,
 )
 from .errors import CardlError, DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import MlpParams, mlp_from_flat
 from .pairhead import PairHead
-from .records import IMAGE, TEXT, FeatureRecord
+from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
 from .retrieval import UnifiedIndex, build_index
 
 # kind -> format version of each versioned file; format 2 adds the payload
@@ -295,10 +295,13 @@ def load_model(path: str | Path) -> AlignmentModel:
     """Reload a saved model; projections are bit-identical to the original."""
     doc, payload = _read_doc(path, "alignment_model", "model")
     heads = _mlps_from(doc, payload, path, {"text_head": "text_head", "image_head": "image_head"})
+    temperature = doc.get("temperature")
+    if type(temperature) not in (int, float):  # refuses true and "0.5", which float() would take
+        raise DataError(f"{path}: temperature must be a number, found {temperature!r}")
     try:
-        model = AlignmentModel(*heads, temperature=float(doc.get("temperature")))
-    except (TypeError, ValueError) as exc:  # a temperature that is not a number
-        raise DataError(f"{path}: malformed temperature: {exc}") from exc
+        model = AlignmentModel(*heads, temperature=float(temperature))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise DataError(f"{path}: temperature {exc}") from exc
     except UsageError as exc:  # heads that disagree, or a temperature not positive and finite
         raise DataError(f"{path}: {exc}") from exc
     _check_declared(doc, path, model, ("unified_dim", "text_input_dim", "image_input_dim"), "its heads give")
@@ -538,20 +541,27 @@ def oracle_model(
     return linear_model(dataset.text_recovery, dataset.image_recovery, temperature)
 
 
-def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> list[FeatureRecord]:
-    """Project raw feature records through the matching head of the model."""
-    from .alignment import project
+# Records stacked per `project` call in `unified_records`: stacking a whole
+# modality at once held several copies of its feature matrix and raised peak RSS.
+PROJECT_BLOCK_ROWS = 256
 
-    out = []
-    for r in records:
-        head = model.head_for(r.modality)
-        if r.dim != head.input_dim:
-            raise DataError(
-                f"record {r.id!r}: {r.modality} vector has dim {r.dim}, model "
-                f"expects {head.input_dim}"
-            )
-        vec = project(head, r.vector[None, :], ids=[r.id])[0]
-        out.append(FeatureRecord(id=r.id, modality=r.modality, vector=vec))
+
+def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> list[FeatureRecord]:
+    """Project raw feature records through the matching head of the model,
+    one `project` call per block of a modality; the output keeps the input order."""
+    out = list(records)
+    for modality in MODALITIES:
+        head = model.head_for(modality)
+        rows = [k for k, r in enumerate(records) if r.modality == modality]
+        wrong = next((records[k] for k in rows if records[k].dim != head.input_dim), None)
+        if wrong is not None:
+            raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, "
+                            f"model expects {head.input_dim}")
+        for lo in range(0, len(rows), PROJECT_BLOCK_ROWS):
+            block = rows[lo : lo + PROJECT_BLOCK_ROWS]
+            unit = project(head, np.array([records[k].vector for k in block]), ids=[records[k].id for k in block])
+            for k, vec in zip(block, unit):
+                out[k] = FeatureRecord(id=records[k].id, modality=modality, vector=vec)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Ranked-retrieval scoring: precision at a cutoff, average precision over a
-run, and mean average precision per direction.
+"""Ranked-retrieval scoring: average precision over a run, and mean average
+precision per direction.
 
 Convention: AP over a run of length R divides by R' = min(total relevant, R),
 the standard normalization for truncated runs.  Queries with no judged
@@ -21,7 +21,7 @@ from .retrieval import (
     DIRECTION_SIDES,
     DIRECTIONS,
     UnifiedIndex,
-    _project_query,
+    _project_queries,
     query_topk_batch,
 )
 
@@ -34,13 +34,6 @@ AP_CONVENTION = (
 )
 
 DEFAULT_K_LIST = (1, 5, 10)
-
-
-def precision_at(relevance_flags: Sequence[bool], r: int) -> float:
-    """Fraction of the first r results that are relevant."""
-    if not 1 <= r <= len(relevance_flags):
-        raise UsageError(f"position r={r} out of range 1..{len(relevance_flags)}")
-    return sum(relevance_flags[:r]) / r
 
 
 def average_precision(relevance_flags: Sequence[bool], total_relevant: int) -> float:
@@ -100,10 +93,9 @@ def evaluate_retrieval(
     """Run cross-media search for every judged query at each k and aggregate.
 
     Queries are processed in ascending id order so the reduction is
-    deterministic regardless of input order.  Each query is projected on its
-    own, as `cross_media_search` does, and all are searched by one batched
-    `query_topk_batch` call, so every run equals that query's
-    `cross_media_search` result.
+    deterministic regardless of input order.  All are projected and searched
+    in one batch each, and every run equals that query's `cross_media_search`
+    result.
     """
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
@@ -111,18 +103,13 @@ def evaluate_retrieval(
     if not k_list or k_list[0] < 1:
         raise UsageError(f"k_list must contain positive cutoffs, got {k_list}")
 
-    judged = []
-    skipped = 0
-    for record in sorted(queries, key=lambda r: r.id):
-        relevant = qrels.get(record.id) or set()
-        if relevant:
-            judged.append((record, relevant))
-        else:
-            skipped += 1
+    ordered = sorted(queries, key=lambda r: r.id)
+    judged = [(record, qrels[record.id]) for record in ordered if qrels.get(record.id)]
+    skipped = len(ordered) - len(judged)
     if not judged:
         raise DataError(f"zero judged queries for direction {direction}")
 
-    unified = np.array([_project_query(model, record, direction) for record, _ in judged])
+    unified = _project_queries(model, [record for record, _ in judged], direction)
     runs = query_topk_batch(index, unified, max(k_list), DIRECTION_SIDES[direction][1])
     ap_per_query: dict[int, dict[str, float]] = {k: {} for k in k_list}
     for (record, relevant), results in zip(judged, runs):

@@ -25,12 +25,13 @@ from .alignment import _SEED_MASK, TrainConfig, _minibatches
 
 
 def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Joint pair feature: [x || y || |x-y| || max(x, y)], dimension 4d."""
+    """Joint pair feature: [x || y || |x-y| || max(x, y)], dimension 4d, of
+    two vectors or of each pair of rows of two matrices."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionError(f"x and y must be 1-D vectors of equal dim, got {x.shape} and {y.shape}")
-    return np.concatenate([x, y, np.abs(x - y), np.maximum(x, y)])
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise DimensionError(f"x and y must be vectors or rows of equal dim, got {x.shape} and {y.shape}")
+    return np.concatenate([x, y, np.abs(x - y), np.maximum(x, y)], axis=-1)
 
 
 @dataclass
@@ -126,4 +127,4 @@ def _pair_features(examples: list[PairExample]) -> np.ndarray:
     dims = {e.x.size for e in examples}
     if len(dims) > 1:
         raise DimensionError(f"examples mix embedding dims {sorted(dims)}")
-    return np.stack([combine_pair(e.x, e.y) for e in examples])
+    return combine_pair(np.array([e.x for e in examples]), np.array([e.y for e in examples]))

@@ -97,9 +97,10 @@ class UnifiedIndex:
             if prev >= id_:
                 problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
                 raise DataError(f"entry {id_!r}: {problem}")
-        for id_, modality in zip(self.ids, self.modalities):
-            if modality not in MODALITIES:
-                raise DataError(f"entry {id_!r}: unknown modality {modality!r}")
+        modalities = np.array(self.modalities, dtype=object)  # a str dtype would drop trailing NULs
+        unknown = np.flatnonzero(~np.isin(modalities, MODALITIES))
+        if unknown.size:
+            raise DataError(f"entry {self.ids[unknown[0]]!r}: unknown modality {self.modalities[unknown[0]]!r}")
         self.vectors.setflags(write=False)
         # row norms without a temporary the size of the matrix
         norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
@@ -111,10 +112,9 @@ class UnifiedIndex:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
         spans = {}
         for modality in MODALITIES:
-            rows = [i for i, m in enumerate(self.modalities) if m == modality]
-            lo, hi = (rows[0], rows[-1] + 1) if rows else (0, 0)
-            others = [i - lo for i in range(lo, hi) if self.modalities[i] != modality]
-            spans[modality] = (lo, hi, np.array(others, dtype=np.intp))
+            rows = np.flatnonzero(modalities == modality)
+            lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+            spans[modality] = (lo, hi, np.flatnonzero(modalities[lo:hi] != modality))
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "max_norm", float(norms.max(initial=0.0)))
 
@@ -138,19 +138,15 @@ def build_index(items) -> UnifiedIndex:
     )
     if not triples:
         return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
-    dim = np.size(triples[0][2])
-    vectors = np.empty((len(triples), dim))
+    ids, modalities, rows = zip(*triples)
+    dim = np.size(rows[0])
+    wrong = next((row for row, vec in enumerate(rows) if np.shape(vec) != (dim,)), None)
+    if wrong is not None:
+        raise DimensionError(f"entry {ids[wrong]!r}: vector shape {np.shape(rows[wrong])}, index dim {dim}")
+    vectors = np.array(rows, dtype=np.float64)  # a fresh copy, normalized in place
     # a non-finite entry yields a non-finite row, which UnifiedIndex refuses by id
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, (id_, _, vec) in enumerate(triples):
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dim,):
-                raise DimensionError(f"entry {id_!r}: vector shape {vec.shape}, index dim {dim}")
-            try:
-                vectors[row] = l2_normalize(vec)
-            except NumericError:
-                raise NumericError(f"entry {id_!r} is the zero vector; cannot index") from None
-    ids, modalities, _ = zip(*triples)
+        l2_normalize(vectors, ids, out=vectors)
     return UnifiedIndex(ids=ids, modalities=modalities, vectors=vectors)
 
 
@@ -164,11 +160,8 @@ def query_topk(
 def query_topk_batch(
     index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
 ) -> list[list[RetrievalResult]]:
-    """`query_topk` for every row of `queries`, screened in blocks of rows.
-
-    Each row is normalized on its own, as `query_topk` does, so every row's
-    results are bit-identical to a single-row search.
-    """
+    """`query_topk` for every row of `queries`, screened in blocks of rows;
+    each row's results equal its single-row search."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if filter_modality not in MODALITIES:
@@ -183,7 +176,7 @@ def query_topk_batch(
     finite = np.isfinite(queries).all(axis=1)
     if not finite.all():
         raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
-    unit = np.array([l2_normalize(q) for q in queries]).reshape(queries.shape)
+    unit = l2_normalize(queries)
     lo, hi, _ = index.spans[filter_modality]
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, hi - lo)))
     results = []
@@ -236,18 +229,21 @@ def cross_media_search(
     direction: str,
 ) -> list[RetrievalResult]:
     """Project a raw query through the matching head and search the other modality."""
-    unified = _project_query(model, query, direction)
+    unified = _project_queries(model, [query], direction)[0]
     return query_topk(index, unified, k, filter_modality=DIRECTION_SIDES[direction][1])
 
 
-def _project_query(model: AlignmentModel, query: FeatureRecord, direction: str) -> np.ndarray:
-    """The unified vector of a raw query for a direction, projected as a single row."""
+def _project_queries(model: AlignmentModel, queries: list[FeatureRecord], direction: str) -> np.ndarray:
+    """The unified vectors of raw queries for a direction, one row per query, in order."""
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
     source = DIRECTION_SIDES[direction][0]
-    if query.modality != source:
+    wrong = next((q for q in queries if q.modality != source), None)
+    if wrong is not None:
         raise UsageError(
             f"direction {direction} takes a {source} query, got modality "
-            f"{query.modality!r} (id {query.id!r})"
+            f"{wrong.modality!r} (id {wrong.id!r})"
         )
-    return project(model.head_for(source), query.vector[None, :], ids=[query.id])[0]
+    if len({q.dim for q in queries}) > 1:  # one dim that is wrong is named by mlp_forward
+        raise DimensionError(f"{source} queries mix dims {sorted({q.dim for q in queries})}")
+    return project(model.head_for(source), np.array([q.vector for q in queries]), ids=[q.id for q in queries])

@@ -143,6 +143,62 @@ def test_project_invariant_to_positive_input_scaling():
         assert np.max(np.abs(project(head, alpha * x) - base)) < 1e-12
 
 
+def _rows_at(rng, n, d, byte_offset):
+    """n x d normal rows laid out from `byte_offset` in a byte buffer, so that
+    offsets that are not a multiple of 8 give misaligned rows."""
+    raw = np.zeros(byte_offset + 8 * n * d, dtype=np.uint8)
+    rows = raw[byte_offset:].view(np.float64).reshape(n, d)
+    rows[:] = rng.normal(size=(n, d))
+    return rows
+
+
+def _each_row(fn, rows, ids):
+    """fn on each single row: its output row, or the NumericError it raises."""
+    out = []
+    for k, id_ in enumerate(ids):
+        try:
+            out.append(fn(rows[k : k + 1], [id_])[0])
+        except NumericError as exc:
+            out.append(exc)
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dims=st.lists(st.integers(0, 40).map(lambda d: 2 * d + 1), min_size=2, max_size=3),
+    n=st.integers(1, 40),
+    byte_offset=st.integers(0, 15),
+    scaled=st.lists(st.sampled_from([1.0, 1e200, 1e-160]), min_size=40, max_size=40),
+    zero=st.integers(0, 39),
+)
+@settings(max_examples=60, deadline=None)
+def test_rows_are_projected_and_normalized_on_their_own(seed, dims, n, byte_offset, scaled, zero):
+    # random heads of 1-2 layers and odd dims; rows that overflow or underflow
+    # ||row||**2 take the rescue path, and an all-dead hidden row projects to zero
+    rng = np.random.default_rng(seed)
+    head = init_mlp(dims, rng)
+    ids = [f"row-{k}" for k in range(n)]
+    x, m = _rows_at(rng, n, dims[0], byte_offset), _rows_at(rng, n, dims[-1], byte_offset)
+    x *= np.array(scaled[:n])[:, None]
+    m *= np.array(scaled[:n])[:, None]
+    with np.errstate(over="ignore"):  # numpy warns that ||row||**2 overflowed
+        for fn, rows in ((lambda r, i: project(head, r, i), x), (alignment.l2_normalize, m)):
+            for zero_row in (None, zero % n):
+                if zero_row is not None:
+                    rows[zero_row] = 0.0
+                singles = _each_row(fn, rows, ids)
+                failed = [k for k, out in enumerate(singles) if isinstance(out, NumericError)]
+                if failed:  # the first zero row is named, by its id
+                    with pytest.raises(NumericError, match=f"\\({ids[failed[0]]}\\)"):
+                        fn(rows, ids)
+                    continue
+                together = fn(rows, ids)
+                for k in range(n):
+                    assert together[k].tobytes() == singles[k].tobytes()
+                if fn is alignment.l2_normalize:  # a vector is the single-row case
+                    assert all(fn(rows[k]).tobytes() == singles[k].tobytes() for k in range(n))
+
+
 # ------------------------------------------------------------------ logits --
 
 def test_batch_logits_worked_example():

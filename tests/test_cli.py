@@ -210,6 +210,9 @@ EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{o
         (EMBED, ("model", "hot", {"header": ["temperature"]}), 2),
         (EMBED, ("model", float("nan"), {"header": ["temperature"]}), 2),
         (EMBED, ("model", float("inf"), {"header": ["temperature"]}), 2),
+        (EMBED, ("model", True, {"header": ["temperature"]}), 2),  # float() reads it as 1.0
+        (EMBED, ("model", "0.5", {"header": ["temperature"]}), 2),  # float() reads it as 0.5
+        (EMBED, ("model", 10**400, {"header": ["temperature"]}), 2),  # float() overflows
         (QUERY, ("index", [2.0, 0.0], {"payload": 0}), 3),  # not unit-norm
         (QUERY + ["--model", "{model}", "--features", "{features}"], ("features", [0.0, 0.0], None), 3),
         (["query", "--index", "{model}", "--id", "t0", "--direction", "txt2img",
@@ -220,6 +223,7 @@ EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{o
     ],
     ids=["unknown flag", "features without model", "model dims disagree", "NaN weight",
          "temperature not a number", "NaN temperature", "infinite temperature",
+         "boolean temperature", "temperature as a string", "temperature beyond the float range",
          "index entry not unit-norm", "all-zero raw query", "model file as index",
          "model file holds a list", "no negatives per positive"],
 )

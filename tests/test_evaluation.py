@@ -16,7 +16,6 @@ from cardl.evaluation import (
     average_precision,
     evaluate_retrieval,
     mean_average_precision,
-    precision_at,
 )
 from cardl.records import FeatureRecord
 from cardl.retrieval import build_index, cross_media_search
@@ -37,22 +36,6 @@ def ap_oracle(flags, total_relevant):
         p_r = sum(flags[:r]) / r
         acc += p_r * delta
     return acc / r_prime
-
-
-# ------------------------------------------------------------ precision_at --
-
-def test_precision_at_basic():
-    flags = [True, False, True]
-    assert precision_at(flags, 1) == 1.0
-    assert precision_at(flags, 2) == 0.5
-    assert precision_at(flags, 3) == 2 / 3
-
-
-def test_precision_at_range_check():
-    with pytest.raises(UsageError):
-        precision_at([True], 0)
-    with pytest.raises(UsageError):
-        precision_at([True], 2)
 
 
 # ------------------------------------------------------- average_precision --

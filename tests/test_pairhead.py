@@ -62,7 +62,16 @@ def test_combine_pair_dim_mismatch():
     with pytest.raises(DimensionError):
         combine_pair(np.ones(2), np.ones(3))
     with pytest.raises(DimensionError):
-        combine_pair(np.ones((2, 2)), np.ones((2, 2)))
+        combine_pair(np.ones((2, 2)), np.ones((3, 2)))
+    with pytest.raises(DimensionError):
+        combine_pair(np.ones((2, 1, 2)), np.ones((2, 1, 2)))
+
+
+def test_combine_pair_of_rows_equals_each_pair_combined():
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(2, 5, 3))
+    rows = combine_pair(x, y)
+    assert rows.tobytes() == np.stack([combine_pair(a, b) for a, b in zip(x, y)]).tobytes()
 
 
 def test_pair_example_validation():

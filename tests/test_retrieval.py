@@ -362,6 +362,28 @@ def test_index_spans_cover_each_modality():
     assert (lo, hi, others.tolist()) == (1, 2, [])
 
 
+def reference_span(modalities, modality):
+    """A modality's (lo, hi, other-modality offsets), found row by row."""
+    rows = [i for i, m in enumerate(modalities) if m == modality]
+    lo, hi = (rows[0], rows[-1] + 1) if rows else (0, 0)
+    return lo, hi, [i - lo for i in range(lo, hi) if modalities[i] != modality]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["", "t", "i", "tttiii", "iiittt", "titititi", "ttitiiit", "iiii", "ttti", "itttttti"],
+    ids=["empty index", "one text", "one image", "text then image", "image then text",
+         "alternating", "interleaved", "no text", "one image last", "image at both ends"],
+)
+def test_index_spans_equal_a_row_by_row_scan(layout):
+    modalities = ["text" if c == "t" else "image" for c in layout]
+    idx = build_index([(f"e{k:02d}", m, [1.0, float(k)]) for k, m in enumerate(modalities)])
+    for modality in ("text", "image"):
+        lo, hi, others = idx.spans[modality]
+        assert others.dtype == np.intp
+        assert (lo, hi, others.tolist()) == reference_span(modalities, modality)
+
+
 def test_non_finite_query_is_a_numeric_error():
     idx = build_index(make_items(6, 3, seed=4))
     for bad in (np.nan, np.inf):
@@ -388,9 +410,10 @@ def test_build_index_rejects_non_finite_vectors_by_id():
         (("b", "a"), ("text", "image"), [0.0, 1.0], DataError, "'a': not in canonical"),
         (("a", "a"), ("text", "image"), [0.0, 1.0], DataError, "'a': duplicate id"),
         (("a", "b"), ("text", "audio"), [0.0, 1.0], DataError, "'b': unknown modality 'audio'"),
+        (("a", "b"), ("text", "image\0"), [0.0, 1.0], DataError, "'b': unknown modality 'image\\\\x00'"),
         (("a", "b"), ("text", "image"), [0.0, 2.0], NumericError, "'b': vector is not unit-norm"),
     ],
-    ids=["unsorted ids", "duplicate ids", "unknown modality", "norm 2 row"],
+    ids=["unsorted ids", "duplicate ids", "unknown modality", "modality with a trailing NUL", "norm 2 row"],
 )
 def test_unified_index_refuses_what_its_docstring_rules_out(ids, modalities, row, error, message):
     with pytest.raises(error, match=message):
