@@ -42,6 +42,11 @@ def _check_temperature(temperature: float) -> None:
 _SEED_MASK = (1 << 64) - 1  # SeedSequence wants nonnegative entropy
 
 
+def seeded_rng(seed: int, *streams: int) -> np.random.Generator:
+    """The stream of every seeded draw in cardl; with no streams, `default_rng(seed)`'s."""
+    return np.random.default_rng([seed & _SEED_MASK, *streams])
+
+
 @dataclass
 class TrainConfig:
     """Every training hyperparameter in one place.
@@ -70,8 +75,8 @@ class TrainConfig:
                 f"batch_size must be >= 2 (got {self.batch_size}); a singleton "
                 "batch makes the in-batch loss identically zero"
             )
-        if self.learning_rate <= 0:
-            raise UsageError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:  # `<= 0` alone lets NaN pass
+            raise UsageError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         _check_temperature(self.temperature)
         if any(d < 1 for d in self.hidden_dims):
             raise UsageError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
@@ -341,7 +346,7 @@ def _resolve_pairs(
 def _minibatches(n: int, config: TrainConfig, epoch: int) -> Iterator[tuple[int, np.ndarray]]:
     """(batch number, row indices) for one epoch over n items: a permutation
     drawn from (seed, epoch), cut into slices of batch_size."""
-    perm = np.random.default_rng([config.seed & _SEED_MASK, epoch]).permutation(n)
+    perm = seeded_rng(config.seed, epoch).permutation(n)
     for b, start in enumerate(range(0, n, config.batch_size)):
         yield b, perm[start : start + config.batch_size]
 
@@ -364,7 +369,7 @@ def fit(
     text_mat, image_mat = _resolve_pairs(text_features, image_features, pairs)
     keys = [[getattr(p, key) for p in pairs] for key in ("label", "text_id", "image_id")]
 
-    rng_init = np.random.default_rng(config.seed & _SEED_MASK)
+    rng_init = seeded_rng(config.seed)
     dims = [*config.hidden_dims, config.unified_dim]
     model = AlignmentModel(
         text_head=init_mlp([text_mat.shape[1], *dims], rng_init),
@@ -420,7 +425,7 @@ def random_projection_model(
     seed: int = 0,
 ) -> AlignmentModel:
     """Frozen random linear heads; the untrained chance-level baseline."""
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = seeded_rng(seed)
     text_head = init_mlp([text_input_dim, unified_dim], rng)
     image_head = init_mlp([image_input_dim, unified_dim], rng)
     return AlignmentModel(text_head, image_head, temperature)

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .alignment import _SEED_MASK, TrainConfig, fit
+from .alignment import TrainConfig, fit, seeded_rng
 from .errors import CardlError, DataError, UsageError
-from .evaluation import evaluate_retrieval
+from .evaluation import DEFAULT_K_LIST, evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
 from .retrieval import DIRECTION_SIDES, DIRECTIONS, TXT2IMG, cross_media_search, query_topk
 
@@ -86,21 +86,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    text_records = dataio.load_features(args.text_features)
-    image_records = dataio.load_features(args.image_features)
-    known = {r.id for r in text_records} | {r.id for r in image_records}
-    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=known)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         temperature=args.temperature,
-        hidden_dims=tuple(_parse_int_list(args.hidden_dims, "--hidden-dims"))
-        if args.hidden_dims
-        else (),
+        hidden_dims=_parse_int_list(args.hidden_dims, "--hidden-dims") if args.hidden_dims else (),
         unified_dim=args.unified_dim,
         seed=_resolve_seed(args.seed),
     )
+    text_records = dataio.load_features(args.text_features)
+    image_records = dataio.load_features(args.image_features)
+    known = {r.id for r in text_records} | {r.id for r in image_records}
+    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=known)
     model, history = fit(text_records, image_records, pairs, config)
     for epoch, loss in enumerate(history, start=1):
         _log(f"epoch {epoch}/{config.epochs} mean loss {loss:.6f}")
@@ -115,23 +113,18 @@ def _cmd_pairhead_train(args) -> int:
     records = dataio.load_features(args.features)
     by_id = {r.id: r for r in records}
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=set(by_id))
-    seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    seed, n = _resolve_seed(args.seed), len(pairs)
+    if n < 2:
+        raise DataError("need at least 2 pairs to sample mismatched negatives")
+    drawn = seeded_rng(seed).integers(n - 1, size=(n, args.negatives_per_positive))
+    drawn += drawn >= np.arange(n)[:, None]  # never draw the true partner
     examples = [
         PairExample(by_id[p.text_id].vector, by_id[p.image_id].vector, relevant=True)
         for p in pairs
+    ] + [
+        PairExample(by_id[p.text_id].vector, by_id[pairs[j].image_id].vector, relevant=False)
+        for p, row in zip(pairs, drawn) for j in row
     ]
-    if len(pairs) < 2:
-        raise DataError("need at least 2 pairs to sample mismatched negatives")
-    partners = [p.image_id for p in pairs]
-    for k, pair in enumerate(pairs):
-        for _ in range(args.negatives_per_positive):
-            j = int(rng.integers(len(pairs) - 1))
-            if j >= k:
-                j += 1  # never draw the true partner
-            examples.append(
-                PairExample(by_id[pair.text_id].vector, by_id[partners[j]].vector, relevant=False)
-            )
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -140,10 +133,7 @@ def _cmd_pairhead_train(args) -> int:
     )
     head = fit_pair_head(examples, config)
     dataio.save_pair_head(head, args.out, seed=seed)
-    _log(
-        f"trained pair head on {len(pairs)} positives / "
-        f"{len(examples) - len(pairs)} sampled negatives; wrote {args.out}"
-    )
+    _log(f"trained pair head on {n} positives / {len(examples) - n} sampled negatives; wrote {args.out}")
     return 0
 
 
@@ -230,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    synth, train = dataio.SyntheticConfig(), TrainConfig()  # the library defaults
     p = sub.add_parser("synth", help="generate a synthetic clustered dataset with oracle maps")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--clusters", type=int, default=8)
-    p.add_argument("--pairs-per-cluster", type=int, default=50)
-    p.add_argument("--text-dim", type=int, default=128)
-    p.add_argument("--image-dim", type=int, default=192)
-    p.add_argument("--latent-dim", type=int, default=16)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--clusters", type=int, default=synth.clusters)
+    p.add_argument("--pairs-per-cluster", type=int, default=synth.pairs_per_cluster)
+    p.add_argument("--text-dim", type=int, default=synth.text_dim)
+    p.add_argument("--image-dim", type=int, default=synth.image_dim)
+    p.add_argument("--latent-dim", type=int, default=synth.latent_dim)
+    p.add_argument("--noise-sigma", type=float, default=synth.noise_sigma)
     p.add_argument("--same-cluster-relevant", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_synth)
@@ -247,12 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-features", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--temperature", type=float, default=0.07)
-    p.add_argument("--hidden-dims", default="256", help="comma-separated widths; empty for linear heads")
-    p.add_argument("--unified-dim", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
+    p.add_argument("--temperature", type=float, default=train.temperature)
+    p.add_argument("--hidden-dims", default=",".join(map(str, train.hidden_dims)),
+                   help="comma-separated widths; empty for linear heads")
+    p.add_argument("--unified-dim", type=int, default=train.unified_dim)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
@@ -264,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--learning-rate", type=float, default=train.learning_rate)
     p.add_argument("--negatives-per-positive", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_pairhead_train)
@@ -297,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-features", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--qrels", default=None, help="overrides the pair-derived judgments")
-    p.add_argument("--k-list", default="1,5,10")
+    p.add_argument("--k-list", default=",".join(map(str, DEFAULT_K_LIST)))
     p.add_argument("--direction", choices=[*DIRECTIONS, "both"], default="both")
     p.add_argument("--out", default=None, help="also write the report as JSON")
     p.set_defaults(func=_cmd_eval)

@@ -21,13 +21,14 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .alignment import (
-    _SEED_MASK, DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model, project,
+    DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model, project, seeded_rng,
 )
 from .errors import CardlError, DataError, DimensionError, NumericError, UsageError
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
@@ -40,6 +41,10 @@ from .retrieval import UnifiedIndex, build_index
 FORMAT_VERSIONS = {"alignment_model": 2, "pair_head": 2, "unified_index": 2, "retrieval_report": 1}
 PAYLOAD_DTYPE = "<f8"
 EMPTY_PAYLOAD = {"dtype": PAYLOAD_DTYPE, "shape": [0]}  # a format-1 file has no payload
+
+# Rows stacked per block: records per `project` call in `unified_records`, pairs
+# per draw in `generate_synthetic`.  Whole-modality stacks raised peak RSS.
+MAX_BLOCK_ROWS = 256
 
 
 def atomic_write(path: str | Path, *chunks: bytes | np.ndarray) -> None:
@@ -437,8 +442,8 @@ class SyntheticConfig:
                 f"latent_dim {self.latent_dim} must lie in 1..min(text_dim, "
                 f"image_dim) = {min(self.text_dim, self.image_dim)}"
             )
-        if self.noise_sigma < 0:
-            raise UsageError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < np.inf:  # `< 0` alone lets NaN pass
+            raise UsageError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
 
 
 @dataclass
@@ -470,10 +475,14 @@ def generate_synthetic(
     zero, so an untrained exact-alignment model always exists.  Identical
     configs produce identical datasets byte for byte.
 
+    Each block of up to MAX_BLOCK_ROWS pairs is one draw, a row per pair of its
+    latent, text and image noise, and one stacked GEMV per pair and view, so
+    it has the bits of drawing and projecting pair by pair.
+
     The forward maps can be injected (tests use the identity); by default
     they are drawn from the seed.
     """
-    rng = np.random.default_rng(config.seed & _SEED_MASK)
+    rng = seeded_rng(config.seed)
     centers = rng.normal(size=(config.clusters, config.latent_dim))
     if text_map is None:
         text_map = rng.normal(size=(config.text_dim, config.latent_dim))
@@ -494,31 +503,27 @@ def generate_synthetic(
         if np.linalg.matrix_rank(mat) < config.latent_dim:
             raise NumericError(f"{name} is rank-deficient; latent recovery impossible")
 
-    total = config.clusters * config.pairs_per_cluster
+    per, latent, text_dim = config.pairs_per_cluster, config.latent_dim, config.text_dim
+    total = config.clusters * per
     width = max(4, len(str(total - 1)))
-    text_records, image_records, pairs, cluster_ids = [], [], [], []
+    tids, iids = ([f"{side}{k:0{width}d}" for k in range(total)] for side in "ti")
+    cluster_ids = [k // per for k in range(total)]
+    text_records, image_records = [], []
+    for lo in range(0, total, MAX_BLOCK_ROWS):
+        hi = min(lo + MAX_BLOCK_ROWS, total)
+        noise = config.noise_sigma * rng.standard_normal((hi - lo, latent + text_dim + config.image_dim))
+        z = centers[cluster_ids[lo:hi], :, None] + noise[:, :latent, None]  # a stack: one GEMV per pair
+        text = (text_map @ z)[:, :, 0] + noise[:, latent : latent + text_dim]
+        image = (image_map @ z)[:, :, 0] + noise[:, latent + text_dim :]
+        text_records += map(FeatureRecord, tids[lo:hi], repeat(TEXT), text)
+        image_records += map(FeatureRecord, iids[lo:hi], repeat(IMAGE), image)
+    pairs = [PairedExample(text_id=tid, image_id=iid) for tid, iid in zip(tids, iids)]
+    group = per if config.same_cluster_relevant else 1  # pairs relevant to one another
     qrels: RelevanceJudgments = {}
-    cluster_members: dict[int, list[int]] = {}
-    for k in range(total):
-        cluster = k // config.pairs_per_cluster
-        z = centers[cluster] + config.noise_sigma * rng.standard_normal(config.latent_dim)
-        text_vec = text_map @ z + config.noise_sigma * rng.standard_normal(config.text_dim)
-        image_vec = image_map @ z + config.noise_sigma * rng.standard_normal(config.image_dim)
-        tid, iid = f"t{k:0{width}d}", f"i{k:0{width}d}"
-        text_records.append(FeatureRecord(id=tid, modality=TEXT, vector=text_vec))
-        image_records.append(FeatureRecord(id=iid, modality=IMAGE, vector=image_vec))
-        pairs.append(PairedExample(text_id=tid, image_id=iid))
-        cluster_ids.append(cluster)
-        cluster_members.setdefault(cluster, []).append(k)
-
-    for k, pair in enumerate(pairs):
-        if config.same_cluster_relevant:
-            members = cluster_members[cluster_ids[k]]
-            qrels[pair.text_id] = {pairs[j].image_id for j in members}
-            qrels[pair.image_id] = {pairs[j].text_id for j in members}
-        else:
-            qrels[pair.text_id] = {pair.image_id}
-            qrels[pair.image_id] = {pair.text_id}
+    for lo in range(0, total, group):
+        texts, images = tids[lo : lo + group], iids[lo : lo + group]
+        for tid, iid in zip(texts, images):
+            qrels[tid], qrels[iid] = set(images), set(texts)
 
     return SyntheticDataset(
         config=config,
@@ -541,11 +546,6 @@ def oracle_model(
     return linear_model(dataset.text_recovery, dataset.image_recovery, temperature)
 
 
-# Records stacked per `project` call in `unified_records`: stacking a whole
-# modality at once held several copies of its feature matrix and raised peak RSS.
-PROJECT_BLOCK_ROWS = 256
-
-
 def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> list[FeatureRecord]:
     """Project raw feature records through the matching head of the model,
     one `project` call per block of a modality; the output keeps the input order."""
@@ -557,8 +557,8 @@ def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> 
         if wrong is not None:
             raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, "
                             f"model expects {head.input_dim}")
-        for lo in range(0, len(rows), PROJECT_BLOCK_ROWS):
-            block = rows[lo : lo + PROJECT_BLOCK_ROWS]
+        for lo in range(0, len(rows), MAX_BLOCK_ROWS):
+            block = rows[lo : lo + MAX_BLOCK_ROWS]
             unit = project(head, np.array([records[k].vector for k in block]), ids=[records[k].id for k in block])
             for k, vec in zip(block, unit):
                 out[k] = FeatureRecord(id=records[k].id, modality=modality, vector=vec)

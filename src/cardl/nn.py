@@ -206,7 +206,7 @@ def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise UsageError("softmax of an empty input is undefined")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("softmax input contains non-finite values")
     shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

@@ -21,7 +21,7 @@ from .nn import (
     mlp_forward,
     sigmoid,
 )
-from .alignment import _SEED_MASK, TrainConfig, _minibatches
+from .alignment import TrainConfig, _minibatches, seeded_rng
 
 
 def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
     targets = np.array([float(e.relevant) for e in examples])
 
     d = features.shape[1] // 4
-    mlp = init_mlp([4 * d, 2 * d, 1], np.random.default_rng(config.seed & _SEED_MASK))
+    mlp = init_mlp([4 * d, 2 * d, 1], seeded_rng(config.seed))
     state = AdamState.zeros_like(mlp)
     adam = config.adam()
     for epoch in range(config.epochs):

@@ -36,7 +36,7 @@ class FeatureRecord:
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1 or self.vector.size == 0:
             raise DataError(f"record {self.id!r}: vector must be a nonempty 1-D array")
-        if not np.all(np.isfinite(self.vector)):
+        if not np.isfinite(self.vector).all():
             raise DataError(f"record {self.id!r}: vector contains non-finite values")
 
     @property

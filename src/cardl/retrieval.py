@@ -29,7 +29,6 @@ One kernel, `query_topk_batch`, answers a block of queries in three steps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 
@@ -93,10 +92,12 @@ class UnifiedIndex:
     max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for prev, id_ in pairwise(self.ids):
-            if prev >= id_:
-                problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
-                raise DataError(f"entry {id_!r}: {problem}")
+        ids = np.array(self.ids, dtype=object)
+        unsorted = np.flatnonzero(ids[:-1] >= ids[1:])
+        if unsorted.size:
+            prev, id_ = self.ids[unsorted[0]], self.ids[unsorted[0] + 1]
+            problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
+            raise DataError(f"entry {id_!r}: {problem}")
         modalities = np.array(self.modalities, dtype=object)  # a str dtype would drop trailing NULs
         unknown = np.flatnonzero(~np.isin(modalities, MODALITIES))
         if unknown.size:

@@ -73,11 +73,23 @@ def test_train_config_defaults():
         {"unified_dim": 0},
         {"temperature": float("nan")},
         {"temperature": float("inf")},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ],
 )
 def test_train_config_rejects(kwargs):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=next(iter(kwargs))):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40, 2**64 - 1])
+def test_seeded_rng_is_the_stream_of_the_plain_seed(seed):
+    """`default_rng(s)` and `default_rng([s])` are one stream, so drawing
+    through `seeded_rng` moved no byte; a negative seed wraps modulo 2**64."""
+    draw = np.random.default_rng(seed).standard_normal(8).tobytes()
+    assert alignment.seeded_rng(seed).standard_normal(8).tobytes() == draw
+    assert alignment.seeded_rng(seed - 2**64).standard_normal(8).tobytes() == draw
+    assert alignment.seeded_rng(seed, 3).standard_normal(8).tobytes() != draw
 
 
 def test_model_dims_derived_from_heads():

@@ -1,12 +1,17 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cardl.alignment import linear_model
-from cardl.cli import cli_main
-from cardl.dataio import load_features, load_index, load_model, load_report, save_index, save_model
+from cardl.alignment import TrainConfig, linear_model
+from cardl.cli import _parse_int_list, build_parser, cli_main
+from cardl.dataio import (
+    SyntheticConfig, load_features, load_index, load_model, load_report, save_index, save_model, save_pair_head,
+)
+from cardl.evaluation import DEFAULT_K_LIST
+from cardl.pairhead import PairExample, fit_pair_head
 from cardl.retrieval import build_index
 from fileedit import edit_file, read_file
 from test_acceptance import run_pipeline
@@ -198,6 +203,7 @@ def test_exit_codes_by_failure_class(synth_dir, tmp_path):
 
 QUERY = ["query", "--index", "{index}", "--id", "t0", "--direction", "txt2img"]
 EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{out}"]
+TRAIN = ["train", "--text-features", "{features}", "--image-features", "{features}", "--pairs", "{out}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -220,12 +226,17 @@ EMBED = ["embed", "--model", "{model}", "--features", "{features}", "--out", "{o
         (EMBED, ("model", [], {"header": []}), 2),  # a top-level JSON list
         (["pairhead-train", "--features", "{features}", "--pairs", "{out}", "--out", "{out}",
           "--negatives-per-positive", "0"], None, 1),  # refused before any file is read
+        (["synth", "--out-dir", "{out}", "--noise-sigma", "nan"], None, 1),
+        (["synth", "--out-dir", "{out}", "--noise-sigma", "inf"], None, 1),
+        (TRAIN + ["--learning-rate", "nan"], None, 1),  # refused before any file is read
+        (TRAIN + ["--learning-rate", "inf"], None, 1),
     ],
     ids=["unknown flag", "features without model", "model dims disagree", "NaN weight",
          "temperature not a number", "NaN temperature", "infinite temperature",
          "boolean temperature", "temperature as a string", "temperature beyond the float range",
          "index entry not unit-norm", "all-zero raw query", "model file as index",
-         "model file holds a list", "no negatives per positive"],
+         "model file holds a list", "no negatives per positive", "NaN noise", "infinite noise",
+         "NaN learning rate", "infinite learning rate"],
 )
 def test_exit_code_matches_the_error_class(tmp_path, capsys, argv, edit, code):
     files = {name: tmp_path / name for name in ("index", "model", "features", "out")}
@@ -351,6 +362,49 @@ def test_pairhead_train_runs(synth_dir, tmp_path, capsys):
 
     head = load_pair_head(out)
     assert head.embedding_dim == 12
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pairhead_train_draws_the_negatives_of_the_per_pair_loop(synth_dir, tmp_path, capsys, seed):
+    """Three negatives per positive, drawn in one call, train the head that
+    one draw per negative (never the true partner) trained."""
+    features = synth_dir / "text_features.jsonl"
+    texts = load_features(features)
+    pairs = [(texts[k].id, texts[k + 9].id) for k in range(9)]
+    pairs_path, out, expected = tmp_path / "pairs.tsv", tmp_path / "head.json", tmp_path / "expected.json"
+    pairs_path.write_text("".join(f"{t}\t{i}\n" for t, i in pairs))
+    assert run(["pairhead-train", "--features", features, "--pairs", pairs_path, "--out", out,
+                "--epochs", "1", "--negatives-per-positive", "3", "--seed", seed]) == 0
+    capsys.readouterr()
+
+    by_id = {r.id: r.vector for r in texts}
+    rng = np.random.default_rng(seed)
+    examples = [PairExample(by_id[t], by_id[i], relevant=True) for t, i in pairs]
+    for k, (t, _) in enumerate(pairs):
+        for _ in range(3):
+            j = int(rng.integers(len(pairs) - 1))
+            j += j >= k
+            examples.append(PairExample(by_id[t], by_id[pairs[j][1]], relevant=False))
+    save_pair_head(fit_pair_head(examples, TrainConfig(epochs=1, seed=seed)), expected, seed=seed)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    """Each CLI default is the library's; the seeds alone differ, since an
+    unseeded CLI run takes CARDL_SEED, then 0."""
+    parse = build_parser().parse_args
+    synth, expected = vars(parse(["synth", "--out-dir", "d"])), asdict(SyntheticConfig())
+    del expected["seed"]
+    assert {name: synth[name] for name in expected} == expected
+    train = vars(parse(["train", "--text-features", "t", "--image-features", "i", "--pairs", "p", "--out", "m"]))
+    read = ("epochs", "batch_size", "learning_rate", "temperature", "unified_dim")
+    assert TrainConfig(**{name: train[name] for name in read},
+                       hidden_dims=_parse_int_list(train["hidden_dims"], "--hidden-dims")) == TrainConfig()
+    pairhead = vars(parse(["pairhead-train", "--features", "f", "--pairs", "p", "--out", "h"]))
+    assert (pairhead["batch_size"], pairhead["learning_rate"]) == (TrainConfig().batch_size, TrainConfig().learning_rate)
+    evaluate = vars(parse(["eval", "--index", "x", "--model", "m", "--text-features", "t",
+                           "--image-features", "i", "--pairs", "p"]))
+    assert tuple(_parse_int_list(evaluate["k_list"], "--k-list")) == DEFAULT_K_LIST
 
 
 def test_query_by_indexed_id_finds_only_exact_ids(tmp_path, capsys):

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+from unittest.mock import patch
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from cardl import dataio
 from cardl.alignment import PairedExample, TrainConfig, fit, linear_model, project
 from cardl.dataio import (
     FORMAT_VERSIONS,
+    MAX_BLOCK_ROWS,
     SyntheticConfig,
     atomic_write,
     build_index_from_records,
@@ -583,8 +586,9 @@ def test_synthetic_config_validation():
         SyntheticConfig(latent_dim=0)
     with pytest.raises(UsageError):
         SyntheticConfig(latent_dim=200, text_dim=128, image_dim=192)
-    with pytest.raises(UsageError):
-        SyntheticConfig(noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="noise_sigma"):
+            SyntheticConfig(noise_sigma=sigma)
 
 
 def test_synthetic_deterministic_and_shaped():
@@ -637,6 +641,58 @@ def test_synthetic_injectable_maps_and_rank_check():
         generate_synthetic(cfg, text_map=np.zeros((3, 3)))
     with pytest.raises(UsageError):
         generate_synthetic(cfg, text_map=np.eye(4))
+
+
+def synthetic_per_pair(config, text_map=None, image_map=None):
+    """The generator as one draw and one GEMV per pair, the way it was written
+    before it drew in blocks."""
+    rng = np.random.default_rng(config.seed & (2**64 - 1))
+    centers = rng.normal(size=(config.clusters, config.latent_dim))
+    text_map = rng.normal(size=(config.text_dim, config.latent_dim)) if text_map is None else text_map
+    image_map = rng.normal(size=(config.image_dim, config.latent_dim)) if image_map is None else image_map
+    total = config.clusters * config.pairs_per_cluster
+    width = max(4, len(str(total - 1)))
+    texts, images, clusters = [], [], []
+    for k in range(total):
+        cluster = k // config.pairs_per_cluster
+        z = centers[cluster] + config.noise_sigma * rng.standard_normal(config.latent_dim)
+        texts.append((f"t{k:0{width}d}", text_map @ z + config.noise_sigma * rng.standard_normal(config.text_dim)))
+        images.append((f"i{k:0{width}d}", image_map @ z + config.noise_sigma * rng.standard_normal(config.image_dim)))
+        clusters.append(cluster)
+    qrels = {}
+    for k, ((tid, _), (iid, _)) in enumerate(zip(texts, images)):
+        members = [j for j in range(total) if clusters[j] == clusters[k]] if config.same_cluster_relevant else [k]
+        qrels[tid] = {images[j][0] for j in members}
+        qrels[iid] = {texts[j][0] for j in members}
+    return texts, images, qrels, clusters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clusters=st.integers(2, 4),
+    per=st.integers(1, 6),
+    dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    same_cluster=st.booleans(),
+    inject=st.booleans(),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    block=st.sampled_from([1, 2, 3, 7, MAX_BLOCK_ROWS]),
+)
+def test_generator_equals_the_per_pair_loop_bit_for_bit(clusters, per, dims, noise, same_cluster, inject, seed, block):
+    text_dim, image_dim, latent = dims[0], dims[1], min(dims)
+    config = SyntheticConfig(clusters, per, text_dim, image_dim, latent, noise, seed, same_cluster)
+    maps = {}
+    if inject:  # full rank with probability 1
+        rng = np.random.default_rng(seed & 0xFFFF)
+        maps = {"text_map": rng.normal(size=(text_dim, latent)), "image_map": rng.normal(size=(image_dim, latent))}
+    with patch.object(dataio, "MAX_BLOCK_ROWS", block):  # blocks that cross cluster boundaries
+        ds = generate_synthetic(config, **maps)
+    texts, images, qrels, clusters_of = synthetic_per_pair(config, **maps)
+    for records, expected in ((ds.text_records, texts), (ds.image_records, images)):
+        assert [(r.id, r.vector.tobytes()) for r in records] == [(id_, v.tobytes()) for id_, v in expected]
+    assert [(p.text_id, p.image_id, p.label) for p in ds.pairs] == [(t, i, None) for (t, _), (i, _) in zip(texts, images)]
+    assert ds.qrels == qrels and list(ds.qrels) == list(qrels)
+    assert ds.cluster_ids == clusters_of
 
 
 def test_oracle_model_ranks_partner_first():
