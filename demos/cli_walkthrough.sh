@@ -28,7 +28,17 @@ cardl index --vectors "$WORK/unified.jsonl" --out "$WORK/index.json"
 
 echo
 echo "top-5 images for text query t0000:"
-cardl query --index "$WORK/index.json" --id t0000 --direction txt2img --k 5
+cardl query --index "$WORK/index.json" --id t0000 --direction txt2img --k 5 \
+  > "$WORK/query_by_id.txt"
+cat "$WORK/query_by_id.txt"
+
+# the same query from its raw features, projected through the model: only
+# the feature-file lines that can hold t0000 are decoded
+cardl query --index "$WORK/index.json" --model "$WORK/model.json" \
+  --features "$WORK/data/text_features.jsonl" --id t0000 --direction txt2img --k 5 \
+  > "$WORK/query_by_features.txt"
+cmp "$WORK/query_by_id.txt" "$WORK/query_by_features.txt"
+echo "(the raw-feature query gives the same five lines)"
 
 echo
 cardl eval --index "$WORK/index.json" --model "$WORK/model.json" \

@@ -214,26 +214,32 @@ def batch_logits(
     return img_unified @ txt_unified.T / temperature
 
 
-def batch_targets(*keys: Sequence[Hashable | None]) -> np.ndarray:
+def batch_targets(*keys: Sequence[Hashable | None] | np.ndarray) -> np.ndarray:
     """Build the in-batch target matrix from per-pair keys (labels, ids).
 
     Item j is a positive for anchor i when i == j, or when the two carry the
     same non-None value in any of the key sequences.  Each row spreads its
-    mass uniformly.
+    mass uniformly.  A key may also be a 1-D integer array of tags, used as
+    is: `fit` codes each key once per run with `_key_tags` and passes each
+    batch its slice.
     """
     if len({len(key) for key in keys}) != 1:
         raise DimensionError(f"need key sequences of one length, got {[len(k) for k in keys]}")
     y = np.eye(len(keys[0]), dtype=bool)
     for key in keys:
-        codes: dict[Hashable, int] = {}
-        # equal codes mark positives; a None gets a code of its own
-        tags = np.array([
-            -1 - i if value is None else codes.setdefault(value, len(codes))
-            for i, value in enumerate(key)
-        ])
+        is_tags = isinstance(key, np.ndarray) and key.ndim == 1 and key.dtype.kind in "iu"
+        tags = key if is_tags else _key_tags(key)
         y |= tags[:, None] == tags[None, :]
     y = y.astype(np.float64)
     return y / y.sum(axis=1, keepdims=True)
+
+
+def _key_tags(key: Sequence[Hashable | None]) -> np.ndarray:
+    """One integer per item, equal where the values are equal; each None gets
+    a code of its own, so it marks no positive."""
+    codes: dict[Hashable, int] = {}
+    return np.array([-1 - i if value is None else codes.setdefault(value, len(codes))
+                     for i, value in enumerate(key)], dtype=np.int64)
 
 
 def transpose_targets(y: np.ndarray) -> np.ndarray:
@@ -367,7 +373,7 @@ def fit(
     if len(pairs) < 2:
         raise DataError(f"need at least 2 pairs to train, got {len(pairs)}")
     text_mat, image_mat = _resolve_pairs(text_features, image_features, pairs)
-    keys = [[getattr(p, key) for p in pairs] for key in ("label", "text_id", "image_id")]
+    tags = [_key_tags([getattr(p, key) for p in pairs]) for key in ("label", "text_id", "image_id")]
 
     rng_init = seeded_rng(config.seed)
     dims = [*config.hidden_dims, config.unified_dim]
@@ -386,7 +392,7 @@ def fit(
         for b, idx in _minibatches(len(pairs), config, epoch):
             if idx.size < 2:
                 continue
-            y = batch_targets(*([key[i] for i in idx] for key in keys))
+            y = batch_targets(*(t[idx] for t in tags))
             try:
                 losses, g_txt, g_img = alignment_gradients(
                     model, text_mat[idx], image_mat[idx], y

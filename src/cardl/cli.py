@@ -162,10 +162,7 @@ def _cmd_query(args) -> int:
     source, target = DIRECTION_SIDES[direction]
     if args.features:
         model = dataio.load_model(args.model)
-        records = {r.id: r for r in dataio.load_features(args.features)}
-        record = records.get(args.id)
-        if record is None:
-            raise DataError(f"id {args.id!r} not found in {args.features}")
+        record = dataio.find_feature(args.features, args.id)
         results = cross_media_search(model, index, record, args.k, direction)
     else:
         # no raw features given: fall back to the query's stored unified vector
@@ -279,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--direction", required=True, choices=DIRECTIONS)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--features", default=None, help="raw features holding the query id")
+    p.add_argument("--features", default=None,
+                   help="raw feature file holding the query id; only lines that can hold it are decoded and checked")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("eval", help="MAP@k evaluation per direction")

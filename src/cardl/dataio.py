@@ -1,7 +1,8 @@
 """File formats, persistence, and the synthetic oracle dataset generator.
 
 Formats (all byte-deterministic under a fixed seed):
-  - features:  one JSON object per line, fields id / modality / vector
+  - features:  one JSON object per line, fields id (a JSON string) /
+    modality / vector
   - pairs:     TSV rows  text_id <TAB> image_id [<TAB> label]
   - qrels:     TSV rows  query_id <TAB> doc_id <TAB> 0|1
   - model, pair head, index (format 2): a header line of sorted-key JSON,
@@ -134,22 +135,31 @@ def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
+def _feature_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, line) of each nonblank line of a feature file."""
+    raw = _read_text(path, "feature")
+    return [(lineno, line) for lineno, line in enumerate(raw.splitlines(), start=1) if line.strip()]
+
+
+def _feature_record(path: str | Path, lineno: int, line: str) -> FeatureRecord:
+    """The record on one line of a feature file; a malformed one is a DataError
+    naming the file and the line."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj["id"], str):
+            raise TypeError(f"id must be a JSON string, found {obj['id']!r}")
+        return FeatureRecord(id=obj["id"], modality=obj["modality"], vector=obj["vector"])
+    except (ValueError, KeyError, TypeError, DataError) as exc:
+        raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
+
+
 def load_features(path: str | Path) -> list[FeatureRecord]:
     """Parse a feature file; order is preserved, dims must be uniform per modality."""
-    raw = _read_text(path, "feature")
     records: list[FeatureRecord] = []
     dims: dict[str, tuple[int, int]] = {}  # modality -> (dim, line where first seen)
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            record = FeatureRecord(
-                id=str(obj["id"]), modality=obj["modality"], vector=obj["vector"]
-            )
-        except (ValueError, KeyError, TypeError, DataError) as exc:
-            raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
+    for lineno, line in _feature_lines(path):
+        record = _feature_record(path, lineno, line)
         if record.id in seen_ids:
             raise DataError(f"{path}: duplicate id {record.id!r} at line {lineno}")
         seen_ids.add(record.id)
@@ -163,6 +173,29 @@ def load_features(path: str | Path) -> list[FeatureRecord]:
     if not records:
         raise DataError(f"{path}: feature file is empty")
     return records
+
+
+def find_feature(path: str | Path, record_id: str) -> FeatureRecord:
+    """The one record of a feature file with this id.
+
+    Only the lines that can hold it are decoded: those containing `"<id>"` or
+    a backslash, since a JSON string can spell the id in no other way.  Those
+    lines are checked as `load_features` checks them; the others are not
+    validated at all.  A malformed decoded line, a second line with the id
+    and a missing id are each a DataError naming the file.
+    """
+    needle, found = f'"{record_id}"', None
+    for lineno, line in _feature_lines(path):
+        if needle not in line and "\\" not in line:
+            continue
+        record = _feature_record(path, lineno, line)
+        if record.id == record_id:
+            if found is not None:
+                raise DataError(f"{path}: duplicate id {record_id!r} at line {lineno}")
+            found = record
+    if found is None:
+        raise DataError(f"id {record_id!r} not found in {path}")
+    return found
 
 
 # ----------------------------------------------------------- pairs / qrels --

@@ -10,6 +10,7 @@ state in place; every other function leaves its inputs unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -256,11 +257,11 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    # two work vectors of the same size, reused by every step
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # a work vector of the same size, reused by every step
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
+        self.scratch = np.empty_like(self.first_moment)
 
     @classmethod
     def zeros_like(cls, params: MlpParams) -> "AdamState":
@@ -275,9 +276,15 @@ def adam_step(
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update of params.flat and `state`, in place;
     returns the same two objects.  Each coordinate takes, in this order,
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
-    w -= (lr * (m/(1-b1**t))) / (sqrt(v/(1-b2**t)) + eps),
-    rounded exactly as a per-layer loop of the same expressions."""
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    denom = sqrt(v) * (1/sqrt(1-b2**t)) + eps and
+    w -= (lr/(1-b1**t)) * (m/denom).
+
+    This is Kingma & Ba's update with eps added after bias correction, with
+    the corrections folded into two scalars as in PyTorch's single-tensor
+    Adam: one division per coordinate instead of three.  It rounds
+    differently from the textbook form lr * m_hat / (sqrt(v_hat) + eps),
+    by a few ulps of each step."""
     shapes = [a.shape for layer in params.layers for a in (layer.weight, layer.bias)]
     if [np.shape(a) for pair in grads for a in pair] != shapes:
         raise DimensionError(f"gradient shapes do not match parameter shapes {shapes}")
@@ -288,22 +295,19 @@ def adam_step(
         raise NumericError(f"non-finite gradient at layer {_first_non_finite(grads)}")
     t = state.step_count + 1
     b1, b2 = config.beta1, config.beta2
-    c1, c2 = 1 - b1**t, 1 - b2**t
-    m, v = state.first_moment, state.second_moment
-    s, r = state.scratch
+    m, v, s = state.first_moment, state.second_moment, state.scratch
     m *= b1
     m += np.multiply(1 - b1, g, out=s)
     v *= b2
     np.square(g, out=s)
     s *= 1 - b2
     v += s
-    np.divide(v, c2, out=s)
-    np.sqrt(s, out=s)
+    np.sqrt(v, out=s)
+    s *= 1 / math.sqrt(1 - b2**t)
     s += config.epsilon
-    np.divide(m, c1, out=r)
-    r *= config.learning_rate
-    r /= s
-    params.flat -= r
+    np.divide(m, s, out=s)
+    s *= config.learning_rate / (1 - b1**t)
+    params.flat -= s
     state.step_count = t
     return params, state
 

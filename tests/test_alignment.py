@@ -1,4 +1,5 @@
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -470,6 +471,44 @@ def test_fit_counts_pairs_sharing_an_id_as_positives(monkeypatch):
     # one batch of all eight pairs: each text's two pairs split their mass
     (y,) = seen
     assert np.array_equal(np.sort(y, axis=1), np.tile([0, 0, 0, 0, 0, 0, 0.5, 0.5], (8, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairs=st.lists(
+        st.builds(PairedExample, st.sampled_from(["t0", "t1", "t2"]), st.sampled_from(["i0", "i1", "i2"]),
+                  st.sampled_from([None, None, "a", "b"])),
+        min_size=2, max_size=12,
+    ),
+    batch_size=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_batch_targets_equal_batch_targets_of_the_batch_keys(pairs, batch_size, seed):
+    """`fit` codes labels and ids once per run; each batch's targets still
+    equal `batch_targets` of that batch's labels, text ids and image ids, bit
+    for bit, with None labels and repeated ids."""
+    texts, images, _ = toy_corpus(n=3, seed=seed % 7)
+    batches, targets = [], []
+    real_minibatches, real_gradients = alignment._minibatches, alignment.alignment_gradients
+
+    def minibatches(*args):
+        for b, idx in real_minibatches(*args):
+            if idx.size >= 2:
+                batches.append(idx)
+            yield b, idx
+
+    def gradients(model, text_batch, image_batch, y):
+        targets.append(y)
+        return real_gradients(model, text_batch, image_batch, y)
+
+    cfg = TrainConfig(epochs=2, batch_size=batch_size, hidden_dims=(), unified_dim=3, seed=seed)  # no dead ReLU
+    with patch.object(alignment, "_minibatches", minibatches), \
+            patch.object(alignment, "alignment_gradients", gradients):
+        fit(texts, images, pairs, cfg)
+    assert len(targets) == len(batches) > 0
+    for idx, y in zip(batches, targets):
+        keys = ([getattr(pairs[i], key) for i in idx] for key in ("label", "text_id", "image_id"))
+        assert y.tobytes() == batch_targets(*keys).tobytes()
 
 
 def test_fit_rejects_unknown_pair_ids():

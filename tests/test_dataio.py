@@ -125,6 +125,93 @@ def test_features_missing_file(tmp_path):
         load_features(tmp_path / "nope.jsonl")
 
 
+def test_features_refuse_an_id_that_is_not_a_string(tmp_path):
+    path = tmp_path / "f.jsonl"
+    for bad in (5, 1.5, True, None, ["a"]):
+        path.write_text(f'{{"id":"a","modality":"text","vector":[1.0]}}\n{{"id":{json.dumps(bad)},'
+                        '"modality":"text","vector":[2.0]}\n')
+        with pytest.raises(DataError, match=r"f\.jsonl: malformed record at line 2: id must be a JSON string"):
+            load_features(path)
+
+
+def test_find_feature_equals_the_loaded_record(tmp_path):
+    texts, images = small_records()
+    path = tmp_path / "f.jsonl"
+    save_features(texts + images, path)
+    for want in load_features(path):
+        got = dataio.find_feature(path, want.id)
+        assert (got.id, got.modality, got.vector.tobytes()) == (want.id, want.modality, want.vector.tobytes())
+
+
+def test_find_feature_errors_name_the_file_and_the_line(tmp_path):
+    path = tmp_path / "f.jsonl"
+    a, b = ('{"id":"%s","modality":"text","vector":[1.0]}' % id_ for id_ in "ab")
+    cases = [
+        ([b], r"id 'a' not found in .*f\.jsonl"),
+        ([a, "", a], r"f\.jsonl: duplicate id 'a' at line 3"),
+        ([b, "", '{"id":"a","modality":"text"}'], r"f\.jsonl: malformed record at line 3"),
+        ([b, "", '{"id":"a", "vector"'], r"f\.jsonl: malformed record at line 3"),
+        # a line with a backslash is decoded whatever id it holds
+        ([a, "", '{"id":"\\u0062","modality":"text","vector":[]}'], r"f\.jsonl: malformed record at line 3"),
+    ]
+    for lines, message in cases:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            dataio.find_feature(path, "a")
+
+
+def test_find_feature_does_not_validate_lines_that_cannot_hold_the_id(tmp_path):
+    """Only lines containing '"<id>"' or a backslash are decoded: a garbled
+    line, a duplicate or a dimension clash elsewhere goes unseen, though
+    load_features refuses the same file."""
+    path = tmp_path / "f.jsonl"
+    path.write_text(
+        "not json at all\n"
+        '{"id":"b","modality":"text","vector":[1.0]}\n'
+        '{"id":"b","modality":"text","vector":[1.0, 2.0]}\n'
+        '{"id":"a","modality":"text","vector":[3.0]}\n'
+    )
+    assert dataio.find_feature(path, "a").vector.tolist() == [3.0]
+    with pytest.raises(DataError, match="line 1"):
+        load_features(path)
+
+
+def _json_string(text: str, escape: list[bool], ascii_only: bool) -> str:
+    """A JSON literal of `text` that spells each character flagged in `escape`
+    as a \\uXXXX escape (one outside the BMP as its two surrogates)."""
+    out = []
+    for char, esc in zip(text, escape):
+        if esc:
+            units = char.encode("utf-16-be")
+            out += [f"\\u{int.from_bytes(units[i:i + 2], 'big'):04x}" for i in range(0, len(units), 2)]
+        else:
+            out.append(json.dumps(char, ensure_ascii=ascii_only)[1:-1])
+    return '"' + "".join(out) + '"'
+
+
+# ids that stay on one line when written unescaped (no \r, \x85, \u2028 and the like)
+one_line_ids = st.text(min_size=1, max_size=6).filter(lambda s: s.splitlines() == [s])
+
+
+@settings(max_examples=80, deadline=None)
+@given(ids=st.lists(one_line_ids, min_size=1, max_size=6, unique=True), data=st.data())
+def test_find_feature_finds_every_id_however_json_spells_it(tmp_path_factory, ids, data):
+    """The prefilter is exact: whatever the id and however each line spells it
+    (raw UTF-8, escapes of any character), find_feature returns the record
+    load_features reads for that id."""
+    path = tmp_path_factory.mktemp("ff") / "f.jsonl"
+    ascii_only = data.draw(st.booleans())
+    lines = []
+    for k, id_ in enumerate(ids):
+        escape = data.draw(st.lists(st.booleans(), min_size=len(id_), max_size=len(id_)))
+        lines.append(f'{{"id":{_json_string(id_, escape, ascii_only)},"modality":"text","vector":[{k}.5]}}')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    by_id = {r.id: r for r in load_features(path)}
+    assert list(by_id) == ids
+    for id_ in ids:
+        assert dataio.find_feature(path, id_).vector.tobytes() == by_id[id_].vector.tobytes()
+
+
 # ------------------------------------------------------------ pairs, qrels --
 
 def test_pairs_round_trip_with_labels(tmp_path):

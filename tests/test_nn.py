@@ -256,7 +256,9 @@ def test_adam_updates_in_place_and_deterministically():
 
 
 def textbook_adam(layers, grad_steps, cfg):
-    """Per-layer, per-array Adam as written in Kingma & Ba, one fresh array per operation."""
+    """Per-layer, per-array Adam, one fresh array per operation, in the folded
+    order `adam_step` specifies: Kingma & Ba's update with the bias corrections
+    folded into the scalars 1/sqrt(1 - b2**t) and lr/(1 - b1**t)."""
     params = [[l.weight.copy(), l.bias.copy()] for l in layers]
     m = [[np.zeros_like(a) for a in pair] for pair in params]
     v = [[np.zeros_like(a) for a in pair] for pair in params]
@@ -266,9 +268,8 @@ def textbook_adam(layers, grad_steps, cfg):
             for i, g in enumerate(pair):
                 m[k][i] = b1 * m[k][i] + (1 - b1) * g
                 v[k][i] = b2 * v[k][i] + (1 - b2) * g**2
-                m_hat = m[k][i] / (1 - b1**t)
-                v_hat = v[k][i] / (1 - b2**t)
-                params[k][i] = params[k][i] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                denom = np.sqrt(v[k][i]) * (1 / np.sqrt(1 - b2**t)) + cfg.epsilon
+                params[k][i] = params[k][i] - (cfg.learning_rate / (1 - b1**t)) * (m[k][i] / denom)
     return np.concatenate([a.ravel() for pair in params for a in pair])
 
 
@@ -287,6 +288,36 @@ def test_flat_adam_equals_textbook_per_layer_adam_bit_for_bit(dims):
     for grads in grad_steps:
         adam_step(mlp, grads, state, cfg)
     assert mlp.flat.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 40),
+    step_count=st.integers(0, 49_999),
+    lr=st.floats(1e-5, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folded_adam_agrees_with_kingma_ba_to_rtol_1e_12(size, step_count, lr, seed):
+    """One step from zero weights, so the weights become minus the step
+    exactly, against Kingma & Ba's per-array expressions; gradients and
+    moments span 1e-8 to 1e4 in magnitude, with either sign."""
+    rng = np.random.default_rng(seed)
+    n = 2 * size  # a (size, 1) weight and its bias
+
+    def draw():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 4, n)
+
+    g, m0, v0 = draw(), draw(), draw() ** 2
+    mlp = MlpParams([LinearLayer(np.zeros((size, 1)), np.zeros(size))])
+    state = AdamState(m0.copy(), v0.copy(), step_count)
+    cfg = AdamConfig(learning_rate=lr)
+    adam_step(mlp, [(g[:size, None], g[size:])], state, cfg)
+
+    t, b1, b2 = step_count + 1, cfg.beta1, cfg.beta2
+    m_hat = (b1 * m0 + (1 - b1) * g) / (1 - b1**t)
+    v_hat = (b2 * v0 + (1 - b2) * g**2) / (1 - b2**t)
+    np.testing.assert_allclose(-mlp.flat, lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon), rtol=1e-12, atol=0)
+    assert state.step_count == t
 
 
 def test_layers_are_views_of_the_flat_vector():
