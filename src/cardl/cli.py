@@ -169,12 +169,12 @@ def _cmd_query(args) -> int:
         row = bisect.bisect_left(index.ids, args.id)  # ids are in ascending order
         if row == len(index) or index.ids[row] != args.id:
             raise DataError(
-                f"id {args.id!r} not in the index; pass --features with its raw vector"
+                f"id {args.id!r} not in the index {args.index}; pass --features with its raw vector"
             )
         if index.modalities[row] != source:
             raise UsageError(
-                f"direction {direction} takes a {source} query, but indexed id "
-                f"{args.id!r} is {index.modalities[row]}"
+                f"direction {direction} takes a {source} query, but id {args.id!r} "
+                f"is {index.modalities[row]} in the index {args.index}"
             )
         results = query_topk(index, index.vectors[row], args.k, target)
     for result in results:

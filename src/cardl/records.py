@@ -18,7 +18,9 @@ class FeatureRecord:
     """A raw (or unified) feature vector produced by an external encoder.
 
     `modality` is either "text" or "image"; the vector must be nonempty
-    and finite.
+    and finite.  The record owns a float64 copy of the vector it is given,
+    so a row of a larger array does not keep that array alive, and a later
+    write to the source cannot slip a non-finite value past the check.
     """
 
     id: str
@@ -33,7 +35,7 @@ class FeatureRecord:
                 f"record {self.id!r}: unknown modality {self.modality!r} "
                 f"(expected one of {MODALITIES})"
             )
-        self.vector = np.asarray(self.vector, dtype=np.float64)
+        self.vector = np.array(self.vector, dtype=np.float64)
         if self.vector.ndim != 1 or self.vector.size == 0:
             raise DataError(f"record {self.id!r}: vector must be a nonempty 1-D array")
         if not np.isfinite(self.vector).all():

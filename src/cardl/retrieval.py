@@ -3,25 +3,45 @@
 No approximate structures: every query is scored against all entries of
 the requested modality, and the top-k come back in descending score with
 ties broken by ascending id.  Results equal a brute-force reference (one
-`np.dot` per candidate, clipped to [-1, 1], then a full sort) in ids, tie
-order and score bits.
+float64 `np.dot` per candidate, clipped to [-1, 1], then a full sort) in
+ids, tie order and score bits.
 
-One kernel, `query_topk_batch`, answers a block of queries in three steps:
+One kernel, `query_topk_batch`, answers a block of queries in three steps,
+the "score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
+made exact by a rounding bound:
 
-1. Screen: one BLAS product scores the modality's row span for the whole
-   block (the flat scan of an exact flat index); rows of the other
-   modality inside the span are set to -inf.
+1. Screen: one float32 BLAS product scores the modality's row span for the
+   whole block against `UnifiedIndex.vectors32`, the float32 copy of the
+   index; the clip to [-1, 1], the -inf for rows of the other modality
+   inside the span and the partition all stay in float32.
 2. Band: the k-th largest screened score t is found with a partition, and
-   every candidate scoring at least t - m is kept.  Any summation order
-   computes x.y within gamma_d * ||x|| * ||y|| of the exact value, where
-   gamma_d = d*u / (1 - d*u) and u is the unit roundoff (Higham, Accuracy
-   and Stability of Numerical Algorithms, section 3.1).  The screen and the
-   reference therefore differ by at most twice that, so with m = 4 *
-   gamma_d * max||row|| * ||q|| (d + 2 in place of d covers the rounding of
-   m and of t - m) no true top-k row, exact ties at the k-th score
-   included, falls outside the band.
-3. Re-score: the band alone is scored again with the reference's per-row
-   `np.dot`, sorted by (-score, id) and cut to k.
+   every candidate whose screened score, compared in float64, is at least
+   t - m is kept.  With u = 2^-24 (float32) and gamma_n(v) = n*v / (1 -
+   n*v) (Higham, Accuracy and Stability of Numerical Algorithms, section
+   3.1), the screen of a row r against a query q differs from the
+   reference's float64 r.q by at most
+       E = [(2u + u^2) + gamma_d(u) * (1 + u)^2 + gamma_d(2^-53)] * ||r|| * ||q||
+           + 4 * d * 2^-150:
+   rounding q and r to float32 changes each product by a factor within
+   (1 +- u)^2; the float32 dot adds gamma_d(u) of sum |r^_j * q^_j|, which
+   the rounded norms bound by (1 + u)^2 * ||r|| * ||q||; the reference's own
+   dot is within gamma_d(2^-53) of the exact value; and below about
+   1.2e-38 (float32's smallest normal) entries and products round with an
+   absolute error of up to 2^-150 each, three per coordinate, which
+   4 * d * 2^-150 bounds with the entries of unit vectors at most 1 (it
+   also covers float64 underflow in the reference).  Clipping never widens
+   a gap.  k rows screen at least t, so the k-th reference score is at
+   least t - E and every row scoring it or more screens at least t - 2E:
+   with m = 2E, no true top-k row, exact ties at the k-th score included,
+   falls outside the band.  gamma_{d+1}(u) in place of gamma_d(u) leaves
+   u * ||r|| * ||q|| of slack for the float64 rounding of m and of t - m.
+   The comparison is made in float64 on purpose: numpy 1.x would cast a
+   float64 floor to a float32 array's dtype and could round it up.
+3. Re-score: the band alone is scored again in float64 with one stacked
+   dot per row (`vectors[rows][:, None, :] @ q[:, None]`, which has the
+   bits of the reference's `np.dot(row, q)`), clipped, and ordered by a
+   stable argsort of -score: band rows ascend by id, so ties keep id order.
+   The first k are the result.
 
 `query_topk` is the single-row case.
 """
@@ -43,11 +63,14 @@ DIRECTIONS = (TXT2IMG, IMG2TXT)
 # direction -> (query modality, result modality)
 DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 
-# Cap on one block's screened score matrix (queries x span rows, float64),
-# so that memory does not grow with the number of queries searched at once.
+# Cap on one block's screened score matrix (queries x span rows, counted at
+# 8 bytes a score), so that memory does not grow with the number of queries
+# searched at once.
 SCORE_BLOCK_BYTES = 2 << 20
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_F32_ROUNDOFF = 2.0**-24
+_F64_ROUNDOFF = 2.0**-53
+_F32_UNDERFLOW = 2.0**-150  # absolute rounding error of a float32 result below its smallest normal
 
 
 def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
@@ -81,7 +104,11 @@ class UnifiedIndex:
 
     Construction refuses, naming the id, unsorted or duplicate ids, unknown
     modalities and non-finite rows (DataError), and rows whose norm is off 1
-    by more than 1e-9 (NumericError), however the index was made."""
+    by more than 1e-9 (NumericError), however the index was made.
+
+    `vectors32` is a read-only float32 copy of `vectors` derived at
+    construction for the search screen: it costs 4 bytes per coordinate in
+    memory and is never serialized."""
 
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
@@ -90,6 +117,7 @@ class UnifiedIndex:
     # rows): the row span a search of that modality screens
     spans: dict[str, tuple[int, int, np.ndarray]] = field(init=False, repr=False, compare=False)
     max_norm: float = field(init=False, repr=False, compare=False)
+    vectors32: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = np.array(self.ids, dtype=object)
@@ -118,6 +146,9 @@ class UnifiedIndex:
             spans[modality] = (lo, hi, np.flatnonzero(modalities[lo:hi] != modality))
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "max_norm", float(norms.max(initial=0.0)))
+        vectors32 = self.vectors.astype(np.float32)
+        vectors32.setflags(write=False)
+        object.__setattr__(self, "vectors32", vectors32)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -186,9 +217,16 @@ def query_topk_batch(
     return results
 
 
-def _gamma(n: int) -> float:
-    """Bound on the relative rounding error of an n-term float64 dot product."""
-    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+def _gamma(n: int, u: float) -> float:
+    """Bound on the relative rounding error of an n-term dot product with unit roundoff u."""
+    return n * u / (1 - n * u)
+
+
+def _screen_margin(d: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
+    """m = 2E of the module docstring, per query."""
+    u = _F32_ROUNDOFF
+    relative = (2 * u + u * u) + _gamma(d + 1, u) * (1 + u) ** 2 + _gamma(d, _F64_ROUNDOFF)
+    return 2 * (relative * max_norm * q_norms + 4 * d * _F32_UNDERFLOW)
 
 
 def _topk_block(
@@ -199,25 +237,21 @@ def _topk_block(
     candidates = hi - lo - len(others)
     if candidates == 0:
         return [[] for _ in unit]
-    screened = unit @ index.vectors[lo:hi].T  # a view of the span: no copy of the index
+    screened = unit.astype(np.float32) @ index.vectors32[lo:hi].T  # a view of the span: no copy
     np.clip(screened, -1.0, 1.0, out=screened)
     screened[:, others] = -np.inf
     kk = min(k, candidates)
     kth = np.partition(screened, -kk, axis=1)[:, -kk]
-    margin = 4 * _gamma(index.dimension + 2) * index.max_norm * np.linalg.norm(unit, axis=1)
+    floors = kth.astype(np.float64) - _screen_margin(index.dimension, index.max_norm, np.linalg.norm(unit, axis=1))
     results = []
-    for q, row_scores, floor in zip(unit, screened, kth - margin):
-        # the reference's expression: one np.dot per candidate, then a clip
-        band = sorted(
-            (
-                (min(max(float(np.dot(index.vectors[i], q)), -1.0), 1.0), index.ids[i])
-                for i in lo + np.flatnonzero(row_scores >= floor)
-            ),
-            key=lambda t: (-t[0], t[1]),
-        )
+    for q, row_scores, floor in zip(unit, screened, floors):
+        rows = lo + np.flatnonzero(row_scores.astype(np.float64) >= floor)
+        # the reference's np.dot per row, as one stacked product, then its clip
+        scores = np.clip((index.vectors[rows][:, None, :] @ q[:, None])[:, 0, 0], -1.0, 1.0)
+        order = np.argsort(-scores, kind="stable")[:k]
         results.append(
-            [RetrievalResult(id=id_, score=score, rank=rank)
-             for rank, (score, id_) in enumerate(band[:k], start=1)]
+            [RetrievalResult(id=index.ids[rows[j]], score=float(scores[j]), rank=rank)
+             for rank, j in enumerate(order, start=1)]
         )
     return results
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 from dataclasses import asdict
 
@@ -255,6 +257,63 @@ def test_exit_code_matches_the_error_class(tmp_path, capsys, argv, edit, code):
     assert run([arg.format(**files) for arg in argv]) == code
     if code == 2:  # each data error here is in the model file, and names it
         assert str(files["model"]) in capsys.readouterr().err
+
+
+# the fixed replacement pool of the file fuzz (ROADMAP item 4)
+FUZZ_POOL = [None, True, False, 0, -0.0, 1e308, float("nan"), "", "text", "image", "t0000", "zz",
+             [], {}, [[1, [2.0]], []]]
+
+
+def header_paths(node, path=()):
+    """Every key path into a JSON header: each leaf, and each list or object as a whole."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from header_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    """A tiny corpus, its oracle model and a valid index of both sides."""
+    base = tmp_path_factory.mktemp("fuzz")
+    assert run(["synth", "--out-dir", base, "--clusters", "2", "--pairs-per-cluster", "3", "--text-dim", "3",
+                "--image-dim", "4", "--latent-dim", "2", "--seed", "1"]) == 0
+    unified = base / "unified.jsonl"
+    for side in ("text", "image"):
+        assert run(["embed", "--model", base / "oracle_model.json",
+                    "--features", base / f"{side}_features.jsonl", "--out", base / f"u_{side}.jsonl"]) == 0
+    unified.write_text((base / "u_text.jsonl").read_text() + (base / "u_image.jsonl").read_text())
+    assert run(["index", "--vectors", unified, "--out", base / "index.json"]) == 0
+    return base
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_damaged_index_file_exits_with_its_error_class_naming_the_file(fuzz_corpus, tmp_path_factory, data):
+    base = fuzz_corpus
+    index = tmp_path_factory.mktemp("damaged") / "index.json"
+    index.write_bytes((base / "index.json").read_bytes())
+    header, payload = read_file(index)
+    if data.draw(st.booleans(), label="in the header"):
+        path = data.draw(st.sampled_from(sorted(header_paths(header), key=repr)), label="header path")
+        edit_file(index, data.draw(st.sampled_from(FUZZ_POOL), label="value"), header=list(path))
+    else:
+        where = data.draw(st.tuples(*(st.integers(0, n - 1) for n in payload.shape)), label="payload index")
+        value = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 0.0, 2.0]))
+        edit_file(index, value, payload=where)
+    model, texts = base / "oracle_model.json", base / "text_features.jsonl"
+    for argv in (
+        ["query", "--index", index, "--id", "t0000", "--direction", "txt2img"],
+        ["query", "--index", index, "--id", "t0000", "--direction", "txt2img", "--model", model, "--features", texts],
+        ["eval", "--index", index, "--model", model, "--text-features", texts,
+         "--image-features", base / "image_features.jsonl", "--pairs", base / "pairs.tsv"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert str(index) in err.getvalue(), (argv[0], err.getvalue())
 
 
 def test_train_determinism_across_invocations(synth_dir, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cardl.dataio import SyntheticConfig, generate_synthetic
 from cardl.errors import DataError
 from cardl.records import IMAGE, MODALITIES, TEXT, FeatureRecord, opposite_modality
 
@@ -35,3 +36,12 @@ def test_feature_record_rejects_bad_input():
         FeatureRecord("a", "text", [1.0, float("inf")])
     with pytest.raises(DataError):
         FeatureRecord("", "text", [1.0])
+
+
+def test_feature_record_owns_its_vector():
+    source = np.ones((4, 3))
+    r = FeatureRecord("a", "text", source[1])
+    source[1, 0] = np.nan
+    assert r.vector.tolist() == [1.0, 1.0, 1.0]
+    ds = generate_synthetic(SyntheticConfig(clusters=2, pairs_per_cluster=3, seed=0))
+    assert all(rec.vector.base is None for rec in ds.text_records + ds.image_records)

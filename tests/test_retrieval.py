@@ -315,27 +315,60 @@ def full_sort_hex(index, q, modality):
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(2000, 2400),
-    dim=st.sampled_from([2, 3, 8, 64]),
+    dim=st.sampled_from([1, 2, 3, 8, 64, 257]),
     interleaved=st.booleans(),
     k=st.integers(1, 30),
     block_rows=st.integers(1, 4),
     n_queries=st.integers(1, 7),
+    hostile=st.sampled_from(["none", "near ties", "underflow", "rounding"]),
+    delta=st.sampled_from([1e-9, 1e-12, 1e-15]),
 )
-@settings(max_examples=25, deadline=None)
-def test_batched_topk_equals_per_row_full_sort(seed, n, dim, interleaved, k, block_rows, n_queries):
+@settings(max_examples=40, deadline=None)
+def test_batched_topk_equals_per_row_full_sort(
+    seed, n, dim, interleaved, k, block_rows, n_queries, hostile, delta
+):
     rng = np.random.default_rng(seed)
     vectors = rng.normal(size=(n, dim))
     # forced exact ties: power-of-two rescalings normalize to identical rows
     for src in rng.choice(n, 20, replace=False):
         for dst, scale in zip(rng.choice(n, 2, replace=False), (2.0, 0.5)):
             vectors[dst] = vectors[src] * scale
+    queries = rng.normal(size=(n_queries, dim))
+    queries[0] = vectors[int(rng.integers(n))]  # on an indexed direction: a score near 1
+    group = rng.choice(n, 60, replace=False)
+    if hostile == "near ties":
+        # x + delta * e_j around the query x: float32 cannot tell these rows
+        # apart, and rows sharing (j, sign) are exact ties the re-score must
+        # order by id in a band far wider than k
+        coords = rng.choice(dim, min(dim, 3), replace=False)
+        vectors[group] = queries[0]
+        vectors[group, rng.choice(coords, 60)] += delta * rng.choice([-1.0, 1.0], 60)
+    elif hostile == "underflow":
+        # entries in [1e-46, 1e-39], which float32 rounds to subnormals or
+        # flushes to 0, in every row and in the queries; the first query
+        # sees nothing else, so the reference ranks by them alone
+        tiny = rng.choice(dim, max(1, dim // 2), replace=False)
+        size = (n_queries + n, len(tiny))
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-46, -39, size)
+        queries[:, tiny], vectors[:, tiny] = values[:n_queries], values[n_queries:]
+        queries[0] = 0.0
+        queries[0, tiny] = rng.normal(size=len(tiny))
+    elif hostile == "rounding":
+        # from a pool of directions so close to the query that float32
+        # cannot resolve their float64 scores, the 30 the screen rounds
+        # furthest up and the 30 it rounds furthest down: the band must hold
+        # the widest gaps that rounding makes
+        q = queries[0] / np.linalg.norm(queries[0])
+        pool = q + 3e-6 * rng.normal(size=(max(60, 2**20 // dim), dim))
+        pool /= np.linalg.norm(pool, axis=1)[:, None]
+        error = (pool.astype(np.float32) @ q.astype(np.float32)) - pool @ q
+        order = np.argsort(error)
+        vectors[group] = pool[np.concatenate([order[:30], order[-30:]])]
     if interleaved:
         modalities = rng.choice(["text", "image"], size=n)
     else:  # one contiguous run per modality, and a text side of only 3 entries
         modalities = ["text" if i < 3 else "image" for i in range(n)]
     index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
-    queries = rng.normal(size=(n_queries, dim))
-    queries[0] = vectors[int(rng.integers(n))]  # on an indexed direction: a score near 1
     for modality in ("text", "image"):
         lo, hi, _ = index.spans[modality]
         # shrink the score block so query blocks straddle the block boundary
