@@ -19,7 +19,6 @@ from .alignment import (
     batch_targets,
     fit,
     linear_model,
-    normalize_rows,
     project,
     random_projection_model,
     transpose_targets,
@@ -91,84 +90,3 @@ from .retrieval import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AP_CONVENTION",
-    "AdamConfig",
-    "AdamState",
-    "AlignmentModel",
-    "CardlError",
-    "DEFAULT_TEMPERATURE",
-    "DEFAULT_UNIFIED_DIM",
-    "DIRECTIONS",
-    "DataError",
-    "DimensionError",
-    "EvalReport",
-    "FeatureRecord",
-    "IMAGE",
-    "IMG2TXT",
-    "LinearLayer",
-    "MODALITIES",
-    "MlpParams",
-    "NumericError",
-    "PairExample",
-    "PairHead",
-    "PairedExample",
-    "RetrievalResult",
-    "SyntheticConfig",
-    "SyntheticDataset",
-    "TEXT",
-    "TXT2IMG",
-    "TrainConfig",
-    "UnifiedIndex",
-    "UsageError",
-    "adam_step",
-    "alignment_gradients",
-    "alignment_loss",
-    "average_precision",
-    "batch_logits",
-    "batch_targets",
-    "build_index",
-    "build_index_from_records",
-    "combine_pair",
-    "cosine_sim",
-    "cross_entropy",
-    "cross_media_search",
-    "evaluate_retrieval",
-    "finite_diff_grad",
-    "fit",
-    "fit_pair_head",
-    "format_report_table",
-    "generate_synthetic",
-    "init_mlp",
-    "l2_normalize",
-    "linear_model",
-    "load_features",
-    "load_index",
-    "load_model",
-    "load_pair_head",
-    "load_pairs_and_qrels",
-    "load_report",
-    "mean_average_precision",
-    "mlp_backward",
-    "mlp_forward",
-    "normalize_rows",
-    "opposite_modality",
-    "oracle_model",
-    "pair_accuracy",
-    "pair_loss_and_grads",
-    "predict_pair",
-    "project",
-    "query_topk",
-    "random_projection_model",
-    "save_features",
-    "save_index",
-    "save_model",
-    "save_pair_head",
-    "save_pairs",
-    "save_qrels",
-    "save_report",
-    "stable_softmax",
-    "transpose_targets",
-    "unified_records",
-]

@@ -140,16 +140,21 @@ _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 
 def _dot_norms(matrix: np.ndarray) -> np.ndarray:
-    """sqrt(row . row) per row, one dot each in a stacked matmul: the bits of np.linalg.norm(row)."""
+    """The L2 norm of each row, sqrt(row . row), with one dot per row in a
+    stacked matmul: cardl's one row norm.  Each row's bits are those of
+    np.linalg.norm(row) alone, whatever the other rows hold.  numpy warns
+    when row . row overflows unless the caller suppresses floating-point
+    errors."""
     return np.sqrt(matrix[:, None, :] @ matrix[:, :, None]).reshape(len(matrix))
 
 
-def _unit_rows(matrix: np.ndarray, norms: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector",
+def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector",
                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Each row over its given L2 norm, into `out` (`matrix` itself too), and
+    """Each row over its `_dot_norms`, into `out` (`matrix` itself too), and
     the norms; a zero row is a NumericError naming its id.  A finite row whose
     norm is below _NORM_FLOOR or overflows is first divided by max|row|, then
-    by its `_dot_norms`; its norm is recomputed as row . unit."""
+    by its norm; its norm is recomputed as row . unit."""
+    norms = _dot_norms(matrix)
     if _NORM_FLOOR <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
         return np.divide(matrix, norms[:, None], out=out), norms
     bad = np.flatnonzero((norms < _NORM_FLOOR) | (norms == np.inf))
@@ -168,19 +173,12 @@ def _unit_rows(matrix: np.ndarray, norms: np.ndarray, ids: Sequence[str] | None 
 
 
 def l2_normalize(v: np.ndarray, ids: Sequence[str] | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """A vector, or each row of a matrix (see `project`), over its L2 norm
-    sqrt(row . row), into `out` when given (a matrix, v itself too); a zero
-    row is a NumericError naming its id.  numpy warns when ||row||**2
-    overflows unless the caller suppresses floating-point errors."""
+    """A vector, or each row of a matrix on its own, over its `_dot_norms`,
+    into `out` when given (a matrix, v itself too); a zero row is a
+    NumericError naming its id.  numpy warns when row . row overflows, as
+    in `_dot_norms`."""
     v = np.asarray(v, dtype=np.float64)
-    rows = np.atleast_2d(v)
-    return _unit_rows(rows, _dot_norms(rows), ids, out=out)[0].reshape(v.shape)
-
-
-def normalize_rows(matrix: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
-    """L2-normalize each row; a zero row is a hard numeric failure."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return _unit_rows(matrix, np.linalg.norm(matrix, axis=1), ids)[0]
+    return _unit_rows(np.atleast_2d(v), ids, out=out)[0].reshape(v.shape)
 
 
 def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
@@ -189,10 +187,11 @@ def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = N
     Each row is projected and normalized on its own, so its bits do not
     depend on the other rows: the forward pass runs on `rows[:, None, :]`,
     where matmul makes one GEMV per row (one GEMM rounds differently), and
-    `np.linalg.norm(axis=1)` and `l2_normalize` reduce each row apart.
+    `l2_normalize` takes one dot per row.  Training normalizes with the
+    same norm.
     """
     rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return normalize_rows(mlp_forward(head, rows[:, None, :])[0][:, 0], ids)
+    return l2_normalize(mlp_forward(head, rows[:, None, :])[0][:, 0], ids)
 
 
 def batch_logits(
@@ -306,8 +305,8 @@ def alignment_gradients(
 
     raw_txt, cache_txt = mlp_forward(model.text_head, text_batch)
     raw_img, cache_img = mlp_forward(model.image_head, image_batch)
-    u_txt, norms_txt = _unit_rows(raw_txt, np.linalg.norm(raw_txt, axis=1), what="text projection")
-    u_img, norms_img = _unit_rows(raw_img, np.linalg.norm(raw_img, axis=1), what="image projection")
+    u_txt, norms_txt = _unit_rows(raw_txt, what="text projection")
+    u_img, norms_img = _unit_rows(raw_img, what="image projection")
     tau = model.temperature
     losses, p_i2t, yt, p_t2i = _directional(batch_logits(u_img, u_txt, tau), y)
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignmentModel, l2_normalize, project
+from .alignment import AlignmentModel, _dot_norms, l2_normalize, project
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
 
@@ -103,8 +103,9 @@ class UnifiedIndex:
     """Unit-norm vectors in canonical (ascending id) order; immutable.
 
     Construction refuses, naming the id, unsorted or duplicate ids, unknown
-    modalities and non-finite rows (DataError), and rows whose norm is off 1
-    by more than 1e-9 (NumericError), however the index was made.
+    modalities and rows holding NaN or +-inf (DataError), and rows whose norm
+    is off 1 by more than 1e-9, a finite row whose norm overflows included
+    (NumericError), however the index was made.
 
     `vectors32` is a read-only float32 copy of `vectors` derived at
     construction for the search screen: it costs 4 bytes per coordinate in
@@ -131,11 +132,12 @@ class UnifiedIndex:
         if unknown.size:
             raise DataError(f"entry {self.ids[unknown[0]]!r}: unknown modality {self.modalities[unknown[0]]!r}")
         self.vectors.setflags(write=False)
-        # row norms without a temporary the size of the matrix
-        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-        if not np.isfinite(norms).all():
-            bad = self.ids[int(np.flatnonzero(~np.isfinite(norms))[0])]
-            raise DataError(f"entry {bad!r}: vector is not finite")
+        with np.errstate(over="ignore"):  # a finite row whose norm overflows is only off the unit norm
+            norms = _dot_norms(self.vectors)
+        suspect = np.flatnonzero(~np.isfinite(norms))
+        nonfinite = suspect[~np.isfinite(self.vectors[suspect]).all(axis=1)]
+        if nonfinite.size:
+            raise DataError(f"entry {self.ids[int(nonfinite[0])]!r}: vector is not finite")
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
         if off.size:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
@@ -242,7 +244,7 @@ def _topk_block(
     screened[:, others] = -np.inf
     kk = min(k, candidates)
     kth = np.partition(screened, -kk, axis=1)[:, -kk]
-    floors = kth.astype(np.float64) - _screen_margin(index.dimension, index.max_norm, np.linalg.norm(unit, axis=1))
+    floors = kth.astype(np.float64) - _screen_margin(index.dimension, index.max_norm, _dot_norms(unit))
     results = []
     for q, row_scores, floor in zip(unit, screened, floors):
         rows = lo + np.flatnonzero(row_scores.astype(np.float64) >= floor)

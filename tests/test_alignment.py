@@ -16,8 +16,8 @@ from cardl.alignment import (
     batch_logits,
     batch_targets,
     fit,
+    l2_normalize,
     linear_model,
-    normalize_rows,
     project,
     random_projection_model,
     transpose_targets,
@@ -119,17 +119,17 @@ def test_model_rejects_mismatched_heads():
 
 # ------------------------------------------------------- projection basics --
 
-def test_normalize_rows_unit_output():
+def test_l2_normalize_unit_rows():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(6, 4)) * 100
-    out = normalize_rows(m)
+    out = l2_normalize(m, ids=[f"doc-{i}" for i in range(6)])
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
 
 
-def test_normalize_rows_zero_row_names_the_id():
+def test_l2_normalize_zero_row_names_the_id():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericError, match="doc-b"):
-        normalize_rows(m, ids=["doc-a", "doc-b"])
+        l2_normalize(m, ids=["doc-a", "doc-b"])
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 6))
@@ -229,8 +229,8 @@ def test_batch_logits_validation():
 
 
 def test_batch_logits_temperature_sharpens():
-    img = normalize_rows(np.random.default_rng(0).normal(size=(3, 4)))
-    txt = normalize_rows(np.random.default_rng(1).normal(size=(3, 4)))
+    img = l2_normalize(np.random.default_rng(0).normal(size=(3, 4)))
+    txt = l2_normalize(np.random.default_rng(1).normal(size=(3, 4)))
     hot = batch_logits(img, txt, 1.0)
     cold = batch_logits(img, txt, 0.07)
     assert np.allclose(cold, hot / 0.07, atol=1e-12)

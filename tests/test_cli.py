@@ -1,8 +1,11 @@
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,7 +312,8 @@ def test_a_damaged_index_file_exits_with_its_error_class_naming_the_file(fuzz_co
          "--image-features", base / "image_features.jsonl", "--pairs", base / "pairs.tsv"],
     ):
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no numpy warning on stderr either
             code = run(argv)
         assert code in (0, 1, 2, 3)
         if code != 0:
@@ -330,27 +334,67 @@ def test_train_determinism_across_invocations(synth_dir, tmp_path):
     assert m1.read_bytes() == m2.read_bytes()
 
 
+def openblas_key() -> str | None:
+    """The OpenBLAS build and core that numpy's bundled library runs, such as
+    'OpenBLAS 0.3.31.188.0 SkylakeX'; None when numpy bundles no OpenBLAS.
+    The core is the one the library picked for this CPU, or the one named by
+    OPENBLAS_CORETYPE."""
+    package = Path(np.__file__).parent
+    for lib in sorted([*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]):
+        blas = ctypes.CDLL(str(lib))  # the library numpy has loaded already
+        for prefix in ("scipy_openblas", "openblas"):  # numpy >= 2.0 and numpy 1.x wheels
+            if hasattr(blas, f"{prefix}_get_corename64_"):
+                corename, config = blas[f"{prefix}_get_corename64_"], blas[f"{prefix}_get_config64_"]
+                for fn in (corename, config):
+                    fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return " ".join([*config().decode().split()[:2], corename().decode()])
+    return None
+
+
+# The criterion-8 model and index values per BLAS build and core: training's
+# GEMMs round differently in each kernel, and move these values by up to
+# 3.6e-16, more than the 2.5e-16 by which a one-ulp change to the row norm
+# moves them, so no tolerance can stand in for the hashes.  Zen runs the
+# Haswell kernel.
+CRITERION_8_VALUES = {
+    "OpenBLAS 0.3.31.188.0 SkylakeX": {
+        "index": "03515f9101e82f91b033f6e6d8e66a0e5c296148e6cc5f488332e0a82e59ec43",
+        "model": "02ebd5d0d7cc0a2fb6fd781c80a4b597e8e1e74b17ac1a3a595402afe410cc3e",
+    },
+    "OpenBLAS 0.3.31.188.0 Haswell": {
+        "index": "521b3bc611cb19aee4a21240ec3b31f72c5a1f1306de962e50163258842dc870",
+        "model": "f5138d7cd3beb50043865c5de85a5a5a93054e4a5b7992f505d74b16c13295f6",
+    },
+    "OpenBLAS 0.3.31.188.0 Sandybridge": {
+        "index": "11b7b7606b817307a2c51becfb87e76bc7b6aa319cf224b79e94f84683532d58",
+        "model": "cdda00afe970396e4b71582d3bbbd7e5d2e59c2898c8b926ae55e165c970ae52",
+    },
+}
+
+
 def test_criterion_8_pipeline_keeps_its_content_hashes(tmp_path, capsys):
     """The values the criterion-8 pipeline writes, apart from how files encode
-    them: the report's bytes, the index's ids, modalities and little-endian
-    float64 vectors, and the model heads' flat parameters and temperature."""
+    them: the report's bytes on every host, and, per BLAS kernel, the index's
+    ids, modalities and little-endian float64 vectors, and the model heads'
+    flat parameters and temperature."""
     run_pipeline(tmp_path)
     capsys.readouterr()
     index, model = load_index(tmp_path / "index.json"), load_model(tmp_path / "model.json")
+    report = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert report == "b58e731f24d4c918b75ecbef56a17b6e7bd0439e72bcb751b3e3b1fc6e7a02ae"
     index_hash = hashlib.sha256()
     for id_, modality in zip(index.ids, index.modalities):
         index_hash.update(f"{id_}\0{modality}\0".encode())
     index_hash.update(index.vectors.astype("<f8").tobytes())
     model_bytes = [model.text_head.flat, model.image_head.flat, np.array([model.temperature])]
-    assert {
-        "report": hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest(),
+    values = {
         "index": index_hash.hexdigest(),
         "model": hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in model_bytes)).hexdigest(),
-    } == {
-        "report": "b58e731f24d4c918b75ecbef56a17b6e7bd0439e72bcb751b3e3b1fc6e7a02ae",
-        "index": "8b68fe514ebac0f8154214e260ccc7bc5c6a70beec7ec2ec605dc4cb540eb845",
-        "model": "9a9a64092277e5f27664a05d8e826d564270527451176e0f5a5247f63ce4d273",
     }
+    key = openblas_key()
+    if key not in CRITERION_8_VALUES:
+        pytest.skip(f"no model and index hashes pinned for BLAS {key!r}; it gives {values}")
+    assert values == CRITERION_8_VALUES[key]
 
 
 def eval_report(model, features_dir, work):

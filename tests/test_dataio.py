@@ -827,11 +827,13 @@ def test_pair_head_load_rejects_non_finite_weights(tmp_path, bad):
         load_pair_head(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
 def test_index_load_rejects_non_finite_rows_by_id(tmp_path, bad):
     index = build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))])
     path = tmp_path / "i.json"
     save_index(index, path)
     edit_file(path, [bad, 0.0], payload=1)
-    with pytest.raises(DataError, match="'b'.*not finite"):
+    # 1e308 is finite: only its squared norm overflows, so the row is off the unit norm
+    error, problem = (DataError, "not finite") if not np.isfinite(bad) else (NumericError, "not unit-norm")
+    with pytest.raises(error, match=rf"i\.json: entry 'b'.*{problem}"):
         load_index(path)
