@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import os
 import sys
 from pathlib import Path
@@ -154,15 +155,23 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _check_query_side(direction: str, query_id: str, modality: str, where: str) -> None:
+    source = DIRECTION_SIDES[direction][0]
+    if modality != source:
+        raise UsageError(
+            f"direction {direction} takes a {source} query, but id {query_id!r} is {modality} in {where}"
+        )
+
+
 def _cmd_query(args) -> int:
     if args.features and not args.model:
         raise UsageError("--features needs --model to project the raw query")
     index = dataio.load_index(args.index)
     direction = args.direction
-    source, target = DIRECTION_SIDES[direction]
     if args.features:
         model = dataio.load_model(args.model)
         record = dataio.find_feature(args.features, args.id)
+        _check_query_side(direction, args.id, record.modality, f"the feature file {args.features}")
         results = cross_media_search(model, index, record, args.k, direction)
     else:
         # no raw features given: fall back to the query's stored unified vector
@@ -171,12 +180,8 @@ def _cmd_query(args) -> int:
             raise DataError(
                 f"id {args.id!r} not in the index {args.index}; pass --features with its raw vector"
             )
-        if index.modalities[row] != source:
-            raise UsageError(
-                f"direction {direction} takes a {source} query, but id {args.id!r} "
-                f"is {index.modalities[row]} in the index {args.index}"
-            )
-        results = query_topk(index, index.vectors[row], args.k, target)
+        _check_query_side(direction, args.id, index.modalities[row], f"the index {args.index}")
+        results = query_topk(index, index.vectors[row], args.k, DIRECTION_SIDES[direction][1])
     for result in results:
         print(f"{result.rank}\t{result.id}\t{result.score:.6f}")
     return 0
@@ -277,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, choices=DIRECTIONS)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--features", default=None,
-                   help="raw feature file holding the query id; only lines that can hold it are decoded and checked")
+                   help="raw feature file holding the query id; only the lines that contain its JSON "
+                        "string or a backslash are decoded and checked")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("eval", help="MAP@k evaluation per direction")
@@ -295,9 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves no state on it."""
+    return build_parser()
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     if not argv:
         parser.print_help(sys.stderr)
         return 1
@@ -305,7 +317,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError(f"missing subcommand\n{parser.format_usage().rstrip()}")
-        return args.func(args)
+        # the handler is looked up now, not taken as bound when the parser was
+        # built, so a _cmd_* replaced on this module since is the one that runs
+        return globals()[args.func.__name__](args)
     except CardlError as exc:
         print(f"cardl: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -64,10 +64,20 @@ def atomic_write(path: str | Path, *chunks: bytes | np.ndarray) -> None:
         raise
 
 
-def _read_text(path: str | Path, what: str) -> str:
+def _read_bytes(path: str | Path, what: str) -> bytes:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    """The file's text with its line ends as written: `str.splitlines` ends a
+    line at CR LF and at a lone CR as at LF, so a text-mode read's translation
+    of them would only add time (more than the decode takes)."""
+    try:
+        return _read_bytes(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
 
 
@@ -135,22 +145,15 @@ def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _feature_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(line number, line) of each nonblank line of a feature file."""
-    raw = _read_text(path, "feature")
-    return [(lineno, line) for lineno, line in enumerate(raw.splitlines(), start=1) if line.strip()]
+_MALFORMED = (ValueError, KeyError, TypeError, DataError)  # what a malformed feature line raises
 
 
-def _feature_record(path: str | Path, lineno: int, line: str) -> FeatureRecord:
-    """The record on one line of a feature file; a malformed one is a DataError
-    naming the file and the line."""
-    try:
-        obj = json.loads(line)
-        if not isinstance(obj["id"], str):
-            raise TypeError(f"id must be a JSON string, found {obj['id']!r}")
-        return FeatureRecord(id=obj["id"], modality=obj["modality"], vector=obj["vector"])
-    except (ValueError, KeyError, TypeError, DataError) as exc:
-        raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
+def _feature_record(line: str) -> FeatureRecord:
+    """The record on one line of a feature file; a malformed one raises one of _MALFORMED."""
+    obj = json.loads(line)
+    if not isinstance(obj["id"], str):
+        raise TypeError(f"id must be a JSON string, found {obj['id']!r}")
+    return FeatureRecord(id=obj["id"], modality=obj["modality"], vector=obj["vector"])
 
 
 def load_features(path: str | Path) -> list[FeatureRecord]:
@@ -158,8 +161,13 @@ def load_features(path: str | Path) -> list[FeatureRecord]:
     records: list[FeatureRecord] = []
     dims: dict[str, tuple[int, int]] = {}  # modality -> (dim, line where first seen)
     seen_ids: set[str] = set()
-    for lineno, line in _feature_lines(path):
-        record = _feature_record(path, lineno, line)
+    for lineno, line in enumerate(_read_text(path, "feature").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = _feature_record(line)
+        except _MALFORMED as exc:
+            raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
         if record.id in seen_ids:
             raise DataError(f"{path}: duplicate id {record.id!r} at line {lineno}")
         seen_ids.add(record.id)
@@ -178,24 +186,53 @@ def load_features(path: str | Path) -> list[FeatureRecord]:
 def find_feature(path: str | Path, record_id: str) -> FeatureRecord:
     """The one record of a feature file with this id.
 
-    Only the lines that can hold it are decoded: those containing `"<id>"` or
-    a backslash, since a JSON string can spell the id in no other way.  Those
-    lines are checked as `load_features` checks them; the others are not
-    validated at all.  A malformed decoded line, a second line with the id
-    and a missing id are each a DataError naming the file.
+    The file is read once, and its UTF-8 bytes are searched with `bytes.find`
+    for `"<id>"` and for a backslash, since a JSON string can spell the id in
+    no other way.  Only the lines holding one of them are decoded, and they
+    are checked as `load_features` checks them; the other lines are neither
+    decoded, split off nor validated.  A malformed decoded line, a second line
+    with the id and a missing id are each a DataError naming the file.  A line
+    number is counted only for such a message, and it is the one
+    `load_features` gives the line.
     """
+    data = _read_bytes(path, "feature")  # decoding all of it would cost more than the search
     needle, found = f'"{record_id}"', None
-    for lineno, line in _feature_lines(path):
-        if needle not in line and "\\" not in line:
-            continue
-        record = _feature_record(path, lineno, line)
-        if record.id == record_id:
-            if found is not None:
-                raise DataError(f"{path}: duplicate id {record_id!r} at line {lineno}")
-            found = record
+    # a lone surrogate has no UTF-8 form: such an id is found only through an escape, a backslash line
+    pattern = needle.encode("utf-8", "surrogatepass")
+    quote_at, slash_at = data.find(pattern), data.find(b"\\")  # the next of each; -1 when none is left
+    while quote_at >= 0 or slash_at >= 0:
+        start = data.rfind(b"\n", 0, min(at for at in (quote_at, slash_at) if at >= 0)) + 1
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        try:
+            text = data[start:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read feature file {path}: {exc}") from exc
+        # splitlines also ends a line at \r, \v, \x85, \u2028 and the like
+        for k, line in enumerate(text.splitlines()):
+            if needle not in line and "\\" not in line:
+                continue
+            try:
+                record = _feature_record(line)
+            except _MALFORMED as exc:
+                lineno = _line_number(data, start, k)
+                raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
+            if record.id == record_id:
+                if found is not None:
+                    raise DataError(f"{path}: duplicate id {record_id!r} at line {_line_number(data, start, k)}")
+                found = record
+        if 0 <= quote_at < end:
+            quote_at = data.find(pattern, end)
+        if 0 <= slash_at < end:
+            slash_at = data.find(b"\\", end)
     if found is None:
         raise DataError(f"id {record_id!r} not found in {path}")
     return found
+
+
+def _line_number(data: bytes, start: int, k: int) -> int:
+    """The number `load_features` gives line k of the file from byte `start`, the start of a line."""
+    return len(data[:start].decode("utf-8", "replace").splitlines()) + k + 1
 
 
 # ----------------------------------------------------------- pairs / qrels --

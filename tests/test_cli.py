@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardl import cli
 from cardl.alignment import TrainConfig, linear_model
 from cardl.cli import _parse_int_list, build_parser, cli_main
 from cardl.dataio import (
@@ -591,3 +592,42 @@ def test_query_with_features_needs_a_model(synth_dir, tmp_path, capsys):
               "--features", synth_dir / "text_features.jsonl"])
     assert rc == 1
     assert "--features needs --model" in capsys.readouterr().err
+
+
+def test_a_query_of_the_wrong_side_names_the_file_that_gave_its_modality(tmp_path, capsys):
+    index_path, model_path, features = tmp_path / "index.json", tmp_path / "model.json", tmp_path / "f.jsonl"
+    save_index(build_index([("t0", "text", [1.0, 0.0]), ("i0", "image", [0.0, 1.0])]), index_path)
+    save_model(linear_model(np.eye(2), np.eye(2)), model_path)
+    features.write_text(json.dumps({"id": "i0", "modality": "image", "vector": [0.6, 0.8]}) + "\n")
+    base = ["query", "--index", index_path, "--id", "i0", "--direction", "txt2img"]
+    assert run(base) == 1
+    assert f"id 'i0' is image in the index {index_path}" in capsys.readouterr().err
+    assert run(base + ["--model", model_path, "--features", features]) == 1
+    assert f"id 'i0' is image in the feature file {features}" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call_and_carries_nothing_between_them(tmp_path, capsys, monkeypatch):
+    index_path = tmp_path / "index.json"
+    images = [(f"i{n:02d}", "image", [np.cos(n / 10), np.sin(n / 10)]) for n in range(12)]
+    save_index(build_index([("t0", "text", [1.0, 0.0]), *images]), index_path)
+    query = ["query", "--index", index_path, "--id", "t0", "--direction", "txt2img"]
+
+    def rows(argv) -> int:
+        assert run(argv) == 0
+        return len(capsys.readouterr().out.splitlines())
+
+    assert rows(query + ["--k", "2"]) == 2
+    assert rows(query) == 10  # the default k, not the last call's
+    for refused in (query + ["--k", "two"], query[:-2], query + ["--features", tmp_path / "f.jsonl"]):
+        assert run(refused) == 1  # a bad value, a missing flag, and --features without --model
+        capsys.readouterr()
+        assert rows(query) == 10
+    assert run(["query", "-h"]) == 0
+    assert "--features" in capsys.readouterr().out
+    assert rows(query) == 10
+    assert cli._parser() is cli._parser() and build_parser() is not build_parser()
+
+    # the handler is found on the module at call time, so one replaced since the first call runs
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_query", lambda args: calls.append(args.id) or 7)
+    assert run(query) == 7 and calls == ["t0"]

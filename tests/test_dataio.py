@@ -193,23 +193,68 @@ def _json_string(text: str, escape: list[bool], ascii_only: bool) -> str:
 one_line_ids = st.text(min_size=1, max_size=6).filter(lambda s: s.splitlines() == [s])
 
 
-@settings(max_examples=80, deadline=None)
-@given(ids=st.lists(one_line_ids, min_size=1, max_size=6, unique=True), data=st.data())
+def _outcome(read) -> tuple | str:
+    """The record `read()` returns, as bytes, or the message of its DataError."""
+    try:
+        record = read()
+    except DataError as exc:
+        return str(exc)
+    return record.id, record.modality, record.vector.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(one_line_ids, min_size=1, max_size=5, unique=True), data=st.data())
 def test_find_feature_finds_every_id_however_json_spells_it(tmp_path_factory, ids, data):
-    """The prefilter is exact: whatever the id and however each line spells it
-    (raw UTF-8, escapes of any character), find_feature returns the record
-    load_features reads for that id."""
+    """The prefilter is exact, whatever the id, however each line spells it
+    (raw UTF-8, escapes of any character) and however the lines are laid out
+    (blank lines, LF, CRLF or CR ends, no final line end, ids[0]'s JSON string
+    in another field's value or inside a longer id): find_feature returns the
+    record load_features reads for that id.  With a second line for ids[0], or
+    a malformed line holding it, both raise the same DataError, naming the same
+    file and line."""
     path = tmp_path_factory.mktemp("ff") / "f.jsonl"
+    ids = list(dict.fromkeys([*ids, ids[0] + "x", "x" + ids[0]]))
     ascii_only = data.draw(st.booleans())
+
+    def spelled(id_):
+        escape = data.draw(st.lists(st.booleans(), min_size=len(id_), max_size=len(id_)))
+        return _json_string(id_, escape, ascii_only)
+
     lines = []
     for k, id_ in enumerate(ids):
-        escape = data.draw(st.lists(st.booleans(), min_size=len(id_), max_size=len(id_)))
-        lines.append(f'{{"id":{_json_string(id_, escape, ascii_only)},"modality":"text","vector":[{k}.5]}}')
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    by_id = {r.id: r for r in load_features(path)}
-    assert list(by_id) == ids
-    for id_ in ids:
-        assert dataio.find_feature(path, id_).vector.tobytes() == by_id[id_].vector.tobytes()
+        note = f'"note":{spelled(ids[0])},' if data.draw(st.booleans(), label="note") else ""
+        lines.append(f'{{"id":{spelled(id_)},"modality":"text",{note}"vector":[{k}.5]}}')
+    defect = data.draw(st.sampled_from([None, "duplicate", "malformed"]), label="defect")
+    if defect is not None:
+        bad = {"duplicate": f'{{"id":{spelled(ids[0])},"modality":"text","vector":[9.5]}}',
+               "malformed": data.draw(st.sampled_from([f'{{"id":{spelled(ids[0])},"modality":"text"}}',
+                                                       f'{{"id":{spelled(ids[0])}, "vector"'])),
+               }[defect]
+        lines.insert(data.draw(st.integers(0, len(lines)), label="defect at"), bad)
+    text = ""
+    for line in lines:
+        blanks = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2), label="blank lines")
+        for blank in [*blanks, line]:
+            text += blank + data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    if data.draw(st.booleans(), label="no final line end"):
+        text = text.rstrip("\r\n")
+    path.write_bytes(text.encode("utf-8"))
+
+    if defect is None:
+        assert [r.id for r in load_features(path)] == ids
+    for id_ in ids if defect is None else ids[:1]:
+        loaded = _outcome(lambda: {r.id: r for r in load_features(path)}[id_])
+        assert _outcome(lambda: dataio.find_feature(path, id_)) == loaded
+
+
+def test_text_files_that_are_not_utf8_are_data_errors_naming_the_file(tmp_path):
+    """find_feature decodes only the lines that can hold the id, so the bad
+    byte is on such a line here."""
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(b'{"id":"a","modality":"t\xffxt","vector":[1.0]}\n')
+    for read in (load_features, lambda p: dataio.find_feature(p, "a"), load_pairs_and_qrels):
+        with pytest.raises(DataError, match=r"cannot read .* file .*f\.jsonl: 'utf-8' codec can't decode"):
+            read(path)
 
 
 # ------------------------------------------------------------ pairs, qrels --
