@@ -141,7 +141,10 @@ def _cmd_pairhead_train(args) -> int:
 def _cmd_embed(args) -> int:
     model = dataio.load_model(args.model)
     records = dataio.load_features(args.features)
-    unified = dataio.unified_records(model, records)
+    try:
+        unified = dataio.unified_records(model, records)
+    except CardlError as exc:  # a record that does not fit its head names its id; add the file
+        raise type(exc)(f"{args.features}: {exc}") from exc
     dataio.save_features(unified, args.out)
     _log(f"projected {len(unified)} records into {model.unified_dim}-d space; wrote {args.out}")
     return 0

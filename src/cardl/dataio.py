@@ -22,7 +22,6 @@ import math
 import os
 import uuid
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -413,7 +412,7 @@ def load_index(path: str | Path) -> UnifiedIndex:
     `UnifiedIndex` checks the entries, and its errors gain the path."""
     doc, vectors = _read_doc(path, "unified_index", "index")
     ids, modalities = doc.get("ids"), doc.get("modalities")
-    if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in (ids, modalities)):
+    if not all(isinstance(names, list) and set(map(type, names)) <= {str} for names in (ids, modalities)):
         raise DataError(f"{path}: ids and modalities must be lists of strings")
     if not (vectors.ndim == 2 and vectors.shape[0] == len(ids) == len(modalities)):
         raise DataError(f"{path}: payload shape {list(vectors.shape)} does not match "
@@ -585,8 +584,8 @@ def generate_synthetic(
         z = centers[cluster_ids[lo:hi], :, None] + noise[:, :latent, None]  # a stack: one GEMV per pair
         text = (text_map @ z)[:, :, 0] + noise[:, latent : latent + text_dim]
         image = (image_map @ z)[:, :, 0] + noise[:, latent + text_dim :]
-        text_records += map(FeatureRecord, tids[lo:hi], repeat(TEXT), text)
-        image_records += map(FeatureRecord, iids[lo:hi], repeat(IMAGE), image)
+        text_records += FeatureRecord.block(tids[lo:hi], TEXT, text)
+        image_records += FeatureRecord.block(iids[lo:hi], IMAGE, image)
     pairs = [PairedExample(text_id=tid, image_id=iid) for tid, iid in zip(tids, iids)]
     group = per if config.same_cluster_relevant else 1  # pairs relevant to one another
     qrels: RelevanceJudgments = {}
@@ -617,21 +616,24 @@ def oracle_model(
 
 
 def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> list[FeatureRecord]:
-    """Project raw feature records through the matching head of the model,
-    one `project` call per block of a modality; the output keeps the input order."""
+    """Project raw feature records through the matching head of the model;
+    the output keeps the input order.  Each block of up to MAX_BLOCK_ROWS
+    records of a modality is one `project` call, and its unified records are
+    made by one `FeatureRecord.block`, each owning its row."""
     out = list(records)
     for modality in MODALITIES:
         head = model.head_for(modality)
+        dim = head.input_dim
         rows = [k for k, r in enumerate(records) if r.modality == modality]
-        wrong = next((records[k] for k in rows if records[k].dim != head.input_dim), None)
+        wrong = next((records[k] for k in rows if records[k].dim != dim), None)
         if wrong is not None:
-            raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, "
-                            f"model expects {head.input_dim}")
+            raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, model expects {dim}")
         for lo in range(0, len(rows), MAX_BLOCK_ROWS):
             block = rows[lo : lo + MAX_BLOCK_ROWS]
-            unit = project(head, np.array([records[k].vector for k in block]), ids=[records[k].id for k in block])
-            for k, vec in zip(block, unit):
-                out[k] = FeatureRecord(id=records[k].id, modality=modality, vector=vec)
+            ids = [records[k].id for k in block]
+            unit = project(head, np.array([records[k].vector for k in block]), ids=ids)
+            for k, record in zip(block, FeatureRecord.block(ids, modality, unit)):
+                out[k] = record
     return out
 
 

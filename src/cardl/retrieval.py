@@ -128,7 +128,8 @@ class UnifiedIndex:
             problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
             raise DataError(f"entry {id_!r}: {problem}")
         modalities = np.array(self.modalities, dtype=object)  # a str dtype would drop trailing NULs
-        unknown = np.flatnonzero(~np.isin(modalities, MODALITIES))
+        masks = {modality: modalities == modality for modality in MODALITIES}
+        unknown = np.flatnonzero(~np.any(list(masks.values()), axis=0))
         if unknown.size:
             raise DataError(f"entry {self.ids[unknown[0]]!r}: unknown modality {self.modalities[unknown[0]]!r}")
         self.vectors.setflags(write=False)
@@ -142,10 +143,10 @@ class UnifiedIndex:
         if off.size:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
         spans = {}
-        for modality in MODALITIES:
-            rows = np.flatnonzero(modalities == modality)
+        for modality, mask in masks.items():
+            rows = np.flatnonzero(mask)
             lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-            spans[modality] = (lo, hi, np.flatnonzero(modalities[lo:hi] != modality))
+            spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "max_norm", float(norms.max(initial=0.0)))
         vectors32 = self.vectors.astype(np.float32)
@@ -173,15 +174,25 @@ def build_index(items) -> UnifiedIndex:
     if not triples:
         return UnifiedIndex(ids=(), modalities=(), vectors=np.zeros((0, 0)))
     ids, modalities, rows = zip(*triples)
-    dim = np.size(rows[0])
-    wrong = next((row for row, vec in enumerate(rows) if np.shape(vec) != (dim,)), None)
-    if wrong is not None:
-        raise DimensionError(f"entry {ids[wrong]!r}: vector shape {np.shape(rows[wrong])}, index dim {dim}")
-    vectors = np.array(rows, dtype=np.float64)  # a fresh copy, normalized in place
+    try:
+        vectors = np.array(rows, dtype=np.float64)  # a fresh copy, normalized in place
+    except ValueError:  # a ragged stack is named by entry; any other refusal stands as it is
+        _refuse_other_shapes(ids, rows)
+        raise
+    if vectors.shape != (len(rows), np.size(rows[0])):
+        _refuse_other_shapes(ids, rows)
     # a non-finite entry yields a non-finite row, which UnifiedIndex refuses by id
     with np.errstate(over="ignore", invalid="ignore"):
         l2_normalize(vectors, ids, out=vectors)
     return UnifiedIndex(ids=ids, modalities=modalities, vectors=vectors)
+
+
+def _refuse_other_shapes(ids: tuple[str, ...], rows: tuple) -> None:
+    """A DimensionError naming the first entry whose vector is not 1-D of the first one's size."""
+    dim = np.size(rows[0])
+    wrong = next((row for row, vec in enumerate(rows) if np.shape(vec) != (dim,)), None)
+    if wrong is not None:
+        raise DimensionError(f"entry {ids[wrong]!r}: vector shape {np.shape(rows[wrong])}, index dim {dim}")
 
 
 def query_topk(

@@ -606,6 +606,19 @@ def test_a_query_of_the_wrong_side_names_the_file_that_gave_its_modality(tmp_pat
     assert f"id 'i0' is image in the feature file {features}" in capsys.readouterr().err
 
 
+def test_embed_names_the_feature_file_of_a_record_that_does_not_fit_its_head(synth_dir, tmp_path, capsys):
+    model_path, features = tmp_path / "model.json", tmp_path / "texts.jsonl"
+    save_model(linear_model(np.eye(4, 12), np.eye(4, 16)), model_path)
+    lines = (synth_dir / "text_features.jsonl").read_text().splitlines()
+    record = json.loads(lines[6])
+    record["modality"] = "image"  # the only image record: its 12 dims pass the file's own check
+    lines[6] = json.dumps(record)
+    features.write_text("\n".join(lines) + "\n")
+    assert run(["embed", "--model", model_path, "--features", features, "--out", tmp_path / "o.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert f"{features}: record {record['id']!r}: image vector has dim 12, model expects 16" in err
+
+
 def test_one_parser_serves_every_call_and_carries_nothing_between_them(tmp_path, capsys, monkeypatch):
     index_path = tmp_path / "index.json"
     images = [(f"i{n:02d}", "image", [np.cos(n / 10), np.sin(n / 10)]) for n in range(12)]

@@ -563,6 +563,19 @@ def test_index_load_rejects_duplicate_ids_and_unknown_modalities_by_id(tmp_path)
             load_index(path)
 
 
+@pytest.mark.parametrize("header, value", [
+    (["ids", 1], 7),  # a non-string id
+    (["ids"], "ab"),  # a string where the list of ids belongs
+    (["modalities", 0], None),  # a null modality
+], ids=["non-string id", "ids as a string", "null modality"])
+def test_index_load_rejects_names_that_are_not_lists_of_strings(tmp_path, header, value):
+    path = tmp_path / "i.json"
+    save_index(build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))]), path)
+    edit_file(path, value, header=header)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: ids and modalities must be lists of strings$"):
+        load_index(path)
+
+
 # ------------------------------------------------------------------ report --
 
 def make_report(direction="txt2img"):

@@ -164,6 +164,16 @@ def test_build_index_rejections():
         build_index([("dup", "text", np.ones(2)), ("dup", "image", np.ones(2))])
     with pytest.raises(DimensionError):
         build_index([("a", "text", np.ones(2)), ("b", "text", np.ones(3))])
+    # numpy refuses these stacks as ragged: the walk names the middle entry
+    for middle, shape in ((np.ones(3), r"\(3,\)"), (np.ones((1, 2)), r"\(1, 2\)"), (1.0, r"\(\)")):
+        with pytest.raises(DimensionError, match=rf"^entry 'b': vector shape {shape}, index dim 2$"):
+            build_index([("c", "text", np.ones(2)), ("b", "image", middle), ("a", "text", np.ones(2))])
+    # numpy stacks these, but not as (n, dim): the walk names the first entry
+    for row, shape, dim in ((np.ones((1, 2)), r"\(1, 2\)", 2), (1.0, r"\(\)", 1)):
+        with pytest.raises(DimensionError, match=rf"^entry 'a': vector shape {shape}, index dim {dim}$"):
+            build_index([(name, "text", row) for name in "abc"])
+    with pytest.raises(ValueError, match="could not convert"):  # well shaped, but no numbers
+        build_index([("a", "text", ["x", "y"]), ("b", "text", np.ones(2)), ("c", "text", np.ones(2))])
     with pytest.raises(NumericError):
         build_index([("a", "text", np.zeros(2))])
     with pytest.raises(DataError):
