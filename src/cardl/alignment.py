@@ -151,21 +151,28 @@ def _dot_norms(matrix: np.ndarray) -> np.ndarray:
 def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector",
                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row over its `_dot_norms`, into `out` (`matrix` itself too), and
-    the norms; a zero row is a NumericError naming its id.  A finite row whose
-    norm is below _NORM_FLOOR or overflows is first divided by max|row|, then
-    by its norm; its norm is recomputed as row . unit."""
+    the norms; a zero row or one holding NaN or +-inf is a NumericError
+    naming its id.  A finite row whose norm is below _NORM_FLOOR or
+    overflows is first divided by max|row|, then by its norm; its norm is
+    recomputed as row . unit."""
     norms = _dot_norms(matrix)
     if _NORM_FLOOR <= norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf:
         return np.divide(matrix, norms[:, None], out=out), norms
-    bad = np.flatnonzero((norms < _NORM_FLOOR) | (norms == np.inf))
+    bad = np.flatnonzero(~((_NORM_FLOOR <= norms) & (norms < np.inf)))  # NaN norms too
     rows = matrix[bad]  # a copy, taken before `out` may overwrite `matrix`
+
+    def name(row):
+        return ids[row] if ids is not None else f"row {row}"
+
+    nonfinite = ~np.isfinite(rows).all(axis=1)
+    if nonfinite.any():
+        raise NumericError(f"cannot normalize non-finite {what} ({name(bad[np.argmax(nonfinite)])})")
     scale = np.abs(rows).max(axis=1, initial=0.0)
-    scaled = rows / np.where((0.0 < scale) & (scale < np.inf), scale, 1.0)[:, None]
+    scaled = rows / np.where(0.0 < scale, scale, 1.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         rescued = _dot_norms(scaled)
         if (rescued == 0.0).any():
-            row = bad[np.argmax(rescued == 0.0)]
-            raise NumericError(f"cannot normalize zero {what} ({ids[row] if ids is not None else f'row {row}'})")
+            raise NumericError(f"cannot normalize zero {what} ({name(bad[np.argmax(rescued == 0.0)])})")
         unit = np.divide(matrix, norms[:, None], out=out)  # the rescued rows are overwritten below
         unit[bad] = scaled / rescued[:, None]
         norms[bad] = (rows[:, None, :] @ unit[bad][:, :, None]).reshape(len(bad))
@@ -174,9 +181,9 @@ def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str =
 
 def l2_normalize(v: np.ndarray, ids: Sequence[str] | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """A vector, or each row of a matrix on its own, over its `_dot_norms`,
-    into `out` when given (a matrix, v itself too); a zero row is a
-    NumericError naming its id.  numpy warns when row . row overflows, as
-    in `_dot_norms`."""
+    into `out` when given (a matrix, v itself too); a zero row or one
+    holding NaN or +-inf is a NumericError naming its id.  numpy warns when
+    row . row overflows, as in `_dot_norms`."""
     v = np.asarray(v, dtype=np.float64)
     return _unit_rows(np.atleast_2d(v), ids, out=out)[0].reshape(v.shape)
 
@@ -187,11 +194,12 @@ def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = N
     Each row is projected and normalized on its own, so its bits do not
     depend on the other rows: the forward pass runs on `rows[:, None, :]`,
     where matmul makes one GEMV per row (one GEMM rounds differently), and
-    `l2_normalize` takes one dot per row.  Training normalizes with the
-    same norm.
+    `_unit_rows` takes one dot per row.  Training normalizes with the
+    same norm.  A projection that is zero or not finite is a NumericError
+    naming its id.
     """
     rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return l2_normalize(mlp_forward(head, rows[:, None, :])[0][:, 0], ids)
+    return _unit_rows(mlp_forward(head, rows[:, None, :])[0][:, 0], ids, "projection")[0]
 
 
 def batch_logits(

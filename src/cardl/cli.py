@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import functools
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import dataio
 from .alignment import TrainConfig, fit, seeded_rng
-from .errors import CardlError, DataError, UsageError
+from .errors import CardlError, DataError, NumericError, UsageError
 from .evaluation import DEFAULT_K_LIST, evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
 from .retrieval import DIRECTION_SIDES, DIRECTIONS, TXT2IMG, cross_media_search, query_topk
@@ -56,6 +57,17 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _projecting_through(model_path: str):
+    """Projection through the model file: a numeric failure names the file,
+    and an overflow in numpy is reported only as that failure."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NumericError as exc:
+        raise NumericError(f"{exc} through the model {model_path}") from exc
 
 
 # ------------------------------------------------------------- subcommands --
@@ -98,8 +110,8 @@ def _cmd_train(args) -> int:
     )
     text_records = dataio.load_features(args.text_features)
     image_records = dataio.load_features(args.image_features)
-    known = {r.id for r in text_records} | {r.id for r in image_records}
-    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=known)
+    modality_of = {r.id: r.modality for r in text_records + image_records}
+    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, modality_of=modality_of)
     model, history = fit(text_records, image_records, pairs, config)
     for epoch, loss in enumerate(history, start=1):
         _log(f"epoch {epoch}/{config.epochs} mean loss {loss:.6f}")
@@ -113,7 +125,7 @@ def _cmd_pairhead_train(args) -> int:
         raise UsageError(f"--negatives-per-positive {args.negatives_per_positive} is below 1")
     records = dataio.load_features(args.features)
     by_id = {r.id: r for r in records}
-    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, known_ids=set(by_id))
+    pairs, _ = dataio.load_pairs_and_qrels(args.pairs, modality_of={r.id: r.modality for r in records})
     seed, n = _resolve_seed(args.seed), len(pairs)
     if n < 2:
         raise DataError("need at least 2 pairs to sample mismatched negatives")
@@ -142,7 +154,8 @@ def _cmd_embed(args) -> int:
     model = dataio.load_model(args.model)
     records = dataio.load_features(args.features)
     try:
-        unified = dataio.unified_records(model, records)
+        with _projecting_through(args.model):
+            unified = dataio.unified_records(model, records)
     except CardlError as exc:  # a record that does not fit its head names its id; add the file
         raise type(exc)(f"{args.features}: {exc}") from exc
     dataio.save_features(unified, args.out)
@@ -175,7 +188,8 @@ def _cmd_query(args) -> int:
         model = dataio.load_model(args.model)
         record = dataio.find_feature(args.features, args.id)
         _check_query_side(direction, args.id, record.modality, f"the feature file {args.features}")
-        results = cross_media_search(model, index, record, args.k, direction)
+        with _projecting_through(args.model):
+            results = cross_media_search(model, index, record, args.k, direction)
     else:
         # no raw features given: fall back to the query's stored unified vector
         row = bisect.bisect_left(index.ids, args.id)  # ids are in ascending order
@@ -195,16 +209,17 @@ def _cmd_eval(args) -> int:
     model = dataio.load_model(args.model)
     text_records = dataio.load_features(args.text_features)
     image_records = dataio.load_features(args.image_features)
-    known = {r.id for r in text_records} | {r.id for r in image_records}
-    _, qrels = dataio.load_pairs_and_qrels(args.pairs, args.qrels, known_ids=known)
+    modality_of = {r.id: r.modality for r in text_records + image_records}
+    _, qrels = dataio.load_pairs_and_qrels(args.pairs, args.qrels, modality_of=modality_of)
     k_list = _parse_int_list(args.k_list, "--k-list")
     directions = list(DIRECTIONS) if args.direction == "both" else [args.direction]
     reports = {}
     for direction in directions:
         queries = text_records if direction == TXT2IMG else image_records
-        reports[direction] = evaluate_retrieval(
-            model, index, queries, qrels, k_list=k_list, direction=direction
-        )
+        with _projecting_through(args.model):
+            reports[direction] = evaluate_retrieval(
+                model, index, queries, qrels, k_list=k_list, direction=direction
+            )
     sys.stdout.write(dataio.format_report_table(reports))
     if args.out:
         dataio.save_report(reports, args.out)

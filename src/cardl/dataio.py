@@ -258,13 +258,14 @@ def save_qrels(qrels: Mapping[str, set[str]], path: str | Path) -> None:
 def load_pairs_and_qrels(
     pairs_path: str | Path,
     qrels_path: str | Path | None = None,
-    known_ids: set[str] | None = None,
+    modality_of: Mapping[str, str] | None = None,
 ) -> tuple[list[PairedExample], RelevanceJudgments]:
     """Read pairs (and qrels, if present) from tab-separated files.
 
     Without a qrels file, each pair's partner is its sole relevant document
-    in both directions.  When `known_ids` is given, any id not in it is a
-    hard data error.
+    in both directions.  When `modality_of` (known id -> its modality) is
+    given, any id not in it, and a pair whose text or image side names a
+    record of the other modality, is a data error naming the file and line.
     """
     raw = _read_text(pairs_path, "pairs")
     pairs: list[PairedExample] = []
@@ -283,9 +284,14 @@ def load_pairs_and_qrels(
         if (text_id, image_id) in seen_rows:
             raise DataError(f"{pairs_path}: line {lineno}: duplicate pair {text_id} -> {image_id}")
         seen_rows.add((text_id, image_id))
-        for id_ in (text_id, image_id):
-            if known_ids is not None and id_ not in known_ids:
-                raise DataError(f"{pairs_path}: line {lineno}: unknown id {id_!r}")
+        if modality_of is not None:
+            for id_, side in ((text_id, TEXT), (image_id, IMAGE)):
+                if id_ not in modality_of:
+                    raise DataError(f"{pairs_path}: line {lineno}: unknown id {id_!r}")
+                if modality_of[id_] != side:
+                    raise DataError(
+                        f"{pairs_path}: line {lineno}: {side} id {id_!r} is a {modality_of[id_]} record"
+                    )
         pairs.append(PairedExample(text_id=text_id, image_id=image_id, label=label))
     if not pairs:
         raise DataError(f"{pairs_path}: no pairs found")
@@ -308,7 +314,7 @@ def load_pairs_and_qrels(
             )
         qid, doc, rel = fields
         for id_ in (qid, doc):
-            if known_ids is not None and id_ not in known_ids:
+            if modality_of is not None and id_ not in modality_of:
                 raise DataError(f"{qrels_path}: line {lineno}: unknown id {id_!r}")
         if rel == "1":
             qrels.setdefault(qid, set()).add(doc)

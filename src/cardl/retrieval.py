@@ -12,14 +12,15 @@ made exact by a rounding bound:
 
 1. Screen: one float32 BLAS product scores the modality's row span for the
    whole block against `UnifiedIndex.vectors32`, the float32 copy of the
-   index; the clip to [-1, 1], the -inf for rows of the other modality
-   inside the span and the partition all stay in float32.
-2. Band: the k-th largest screened score t is found with a partition, and
-   every candidate whose screened score, compared in float64, is at least
-   t - m is kept.  With u = 2^-24 (float32) and gamma_n(v) = n*v / (1 -
-   n*v) (Higham, Accuracy and Stability of Numerical Algorithms, section
-   3.1), the screen of a row r against a query q differs from the
-   reference's float64 r.q by at most
+   index; rows of the other modality inside the span, if any, are set to
+   -inf.  The screen itself is not clipped.
+2. Band: a partition finds each query's k-th largest screened score, and
+   only that score is clipped to [-1, 1], giving t; clipping is monotone,
+   so it is the k-th of the clipped screen.  Every candidate whose screened
+   score is at least t - m is kept.  With u = 2^-24 (float32) and
+   gamma_n(v) = n*v / (1 - n*v) (Higham, Accuracy and Stability of
+   Numerical Algorithms, section 3.1), the screen of a row r against a
+   query q differs from the reference's float64 r.q by at most
        E = [(2u + u^2) + gamma_d(u) * (1 + u)^2 + gamma_d(2^-53)] * ||r|| * ||q||
            + 4 * d * 2^-150:
    rounding q and r to float32 changes each product by a factor within
@@ -31,17 +32,27 @@ made exact by a rounding bound:
    4 * d * 2^-150 bounds with the entries of unit vectors at most 1 (it
    also covers float64 underflow in the reference).  Clipping never widens
    a gap.  k rows screen at least t, so the k-th reference score is at
-   least t - E and every row scoring it or more screens at least t - 2E:
-   with m = 2E, no true top-k row, exact ties at the k-th score included,
-   falls outside the band.  gamma_{d+1}(u) in place of gamma_d(u) leaves
-   u * ||r|| * ||q|| of slack for the float64 rounding of m and of t - m.
-   The comparison is made in float64 on purpose: numpy 1.x would cast a
-   float64 floor to a float32 array's dtype and could round it up.
-3. Re-score: the band alone is scored again in float64 with one stacked
-   dot per row (`vectors[rows][:, None, :] @ q[:, None]`, which has the
-   bits of the reference's `np.dot(row, q)`), clipped, and ordered by a
-   stable argsort of -score: band rows ascend by id, so ties keep id order.
-   The first k are the result.
+   least t - E and every row scoring it or more screens at least t - 2E
+   once clipped: with m = 2E, no true top-k row, exact ties at the k-th
+   score included, falls outside the band.  gamma_{d+1}(u) in place of
+   gamma_d(u) leaves u * ||r|| * ||q|| of slack for the float64 rounding of
+   m and of t - m.  The float64 floor t - m is rounded up to the least
+   float32 at or above it (`_ceil32`): a float32 score s is >= a value
+   exactly when it is >= that ceiling, so the float32 screen is compared
+   with it directly, with no float64 copy of the screen, and the result is
+   the same under NEP 50 and legacy casting.  A floor at or below -1
+   admits every candidate, since every clipped screen is at least -1; and
+   where the floor is above -1, a screen is at least the floor exactly
+   when its clipped value is.
+3. Re-score and order: one `np.flatnonzero` over the block's band mask,
+   split by `divmod` into (query, row) pairs, finds every band row of the
+   block, query by query and by ascending id within a query.  They are
+   scored again in float64 with one stacked dot per band row
+   (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
+   bits of the reference's `np.dot(row, q)`) and clipped.  One stable `np.lexsort` by query, then
+   -score, orders the whole block, so ties keep id order, and
+   `searchsorted` finds each query's run; the first k of each run are its
+   results.
 
 `query_topk` is the single-row case.
 """
@@ -71,6 +82,7 @@ SCORE_BLOCK_BYTES = 2 << 20
 _F32_ROUNDOFF = 2.0**-24
 _F64_ROUNDOFF = 2.0**-53
 _F32_UNDERFLOW = 2.0**-150  # absolute rounding error of a float32 result below its smallest normal
+_F32_LOWEST = np.finfo(np.float32).min
 
 
 def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
@@ -91,7 +103,7 @@ def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.sum(x * y) / np.sqrt(xx * yy), -1.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalResult:
     id: str
     score: float
@@ -181,8 +193,10 @@ def build_index(items) -> UnifiedIndex:
         raise
     if vectors.shape != (len(rows), np.size(rows[0])):
         _refuse_other_shapes(ids, rows)
-    # a non-finite entry yields a non-finite row, which UnifiedIndex refuses by id
-    with np.errstate(over="ignore", invalid="ignore"):
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():  # input data, refused as UnifiedIndex refuses it, before normalizing
+        raise DataError(f"entry {ids[int(np.argmin(finite))]!r}: vector is not finite")
+    with np.errstate(over="ignore"):  # a finite row whose norm overflows is rescued
         l2_normalize(vectors, ids, out=vectors)
     return UnifiedIndex(ids=ids, modalities=modalities, vectors=vectors)
 
@@ -242,6 +256,14 @@ def _screen_margin(d: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
     return 2 * (relative * max_norm * q_norms + 4 * d * _F32_UNDERFLOW)
 
 
+def _ceil32(values: np.ndarray) -> np.ndarray:
+    """The least float32 at or above each float64 value: a float32 s is >= v
+    exactly when s >= _ceil32(v), under NEP 50 and legacy casting alike."""
+    up = values.astype(np.float32)  # the nearest float32, which may lie below
+    np.nextafter(up, np.float32(np.inf), out=up, where=up < values)
+    return up
+
+
 def _topk_block(
     index: UnifiedIndex, unit: np.ndarray, k: int, filter_modality: str
 ) -> list[list[RetrievalResult]]:
@@ -251,22 +273,26 @@ def _topk_block(
     if candidates == 0:
         return [[] for _ in unit]
     screened = unit.astype(np.float32) @ index.vectors32[lo:hi].T  # a view of the span: no copy
-    np.clip(screened, -1.0, 1.0, out=screened)
-    screened[:, others] = -np.inf
+    if len(others):
+        screened[:, others] = -np.inf
     kk = min(k, candidates)
-    kth = np.partition(screened, -kk, axis=1)[:, -kk]
+    kth = np.clip(np.partition(screened, -kk, axis=1)[:, -kk], -1.0, 1.0)
     floors = kth.astype(np.float64) - _screen_margin(index.dimension, index.max_norm, _dot_norms(unit))
-    results = []
-    for q, row_scores, floor in zip(unit, screened, floors):
-        rows = lo + np.flatnonzero(row_scores.astype(np.float64) >= floor)
-        # the reference's np.dot per row, as one stacked product, then its clip
-        scores = np.clip((index.vectors[rows][:, None, :] @ q[:, None])[:, 0, 0], -1.0, 1.0)
-        order = np.argsort(-scores, kind="stable")[:k]
-        results.append(
-            [RetrievalResult(id=index.ids[rows[j]], score=float(scores[j]), rank=rank)
-             for rank, j in enumerate(order, start=1)]
-        )
-    return results
+    floors32 = _ceil32(floors)
+    floors32[floors <= -1.0] = _F32_LOWEST  # every candidate: its clipped screen is >= -1
+    query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), hi - lo)
+    rows = lo + col
+    # the reference's np.dot per row, as one stacked product, then its clip
+    scores = np.clip((index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0], -1.0, 1.0)
+    # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order
+    order = np.lexsort((-scores, query))
+    bounds = np.searchsorted(query, np.arange(len(unit) + 1)).tolist()  # each query's run in `order`
+    ids, ranked_rows, ranked_scores = index.ids, rows[order].tolist(), scores[order].tolist()
+    return [
+        [RetrievalResult(ids[row], score, rank)
+         for rank, row, score in zip(range(1, k + 1), ranked_rows[a:b], ranked_scores[a:b])]
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def cross_media_search(

@@ -16,7 +16,8 @@ from cardl import cli
 from cardl.alignment import TrainConfig, linear_model
 from cardl.cli import _parse_int_list, build_parser, cli_main
 from cardl.dataio import (
-    SyntheticConfig, load_features, load_index, load_model, load_report, save_index, save_model, save_pair_head,
+    SyntheticConfig, load_features, load_index, load_model, load_report, save_features, save_index, save_model,
+    save_pair_head, unified_records,
 )
 from cardl.evaluation import DEFAULT_K_LIST
 from cardl.pairhead import PairExample, fit_pair_head
@@ -291,6 +292,30 @@ def fuzz_corpus(tmp_path_factory):
     return base
 
 
+def test_a_projection_that_overflows_is_a_numeric_error_naming_the_record_and_the_model(tmp_path, capsys):
+    index, model, texts, images, pairs = (tmp_path / name for name in ("i.json", "m.json", "t.jsonl", "im.jsonl", "p.tsv"))
+    save_index(build_index([("t0", "text", [1.0, 0.0]), ("i0", "image", [0.0, 1.0])]), index)
+    save_model(linear_model(np.eye(2), np.eye(2)), model)
+    edit_file(model, 1e308, payload=0)  # text head weight [0, 0]
+    # t0 projects to [2e308, 0], which overflows; t1 to [1e308, 0], finite with a norm that overflows
+    texts.write_text("".join(json.dumps({"id": i, "modality": "text", "vector": v}) + "\n"
+                             for i, v in (("t0", [2.0, 0.0]), ("t1", [1.0, 0.0]))))
+    images.write_text(json.dumps({"id": "i0", "modality": "image", "vector": [0.0, 1.0]}) + "\n")
+    pairs.write_text("t0\ti0\n")
+    query = ["query", "--index", index, "--model", model, "--features", texts, "--direction", "txt2img", "--id"]
+    for argv in (
+        ["embed", "--model", model, "--features", texts, "--out", tmp_path / "u.jsonl"],
+        ["eval", "--index", index, "--model", model, "--text-features", texts, "--image-features", images,
+         "--pairs", pairs, "--direction", "txt2img"],
+        query + ["t0"],
+    ):
+        assert run(argv) == 3  # a RuntimeWarning would raise here instead
+        err = capsys.readouterr().err
+        assert "cannot normalize non-finite projection (t0)" in err and f"through the model {model}" in err
+    assert run(query + ["t1"]) == 0
+    assert capsys.readouterr().out == "1\ti0\t0.000000\n"
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_damaged_index_file_exits_with_its_error_class_naming_the_file(fuzz_corpus, tmp_path_factory, data):
@@ -481,25 +506,25 @@ def test_seed_env_must_be_integer(synth_dir, tmp_path, monkeypatch, capsys):
     assert "CARDL_SEED" in capsys.readouterr().err
 
 
-def test_pairhead_train_runs(synth_dir, tmp_path, capsys):
-    # pair the text/image raw features via the joint feature head
-    merged = tmp_path / "merged.jsonl"
-    t = (synth_dir / "text_features.jsonl").read_text()
-    i = (synth_dir / "image_features.jsonl").read_text()
-    # pair head needs equal dims on both sides; reuse text features for both
-    # sides of each pair by rewriting pair rows onto text ids
-    texts = load_features(synth_dir / "text_features.jsonl")
-    pairs_path = tmp_path / "tpairs.tsv"
-    rows = [f"{texts[k].id}\t{texts[k + 1].id}" for k in range(0, 16, 2)]
-    pairs_path.write_text("\n".join(rows) + "\n")
-    merged.write_text(t)
+def unified_corpus(synth_dir, tmp_path):
+    """The synth corpus projected by its oracle model into one feature file,
+    as pairhead-train reads it: (path, records)."""
+    model = load_model(synth_dir / "oracle_model.json")
+    raw = load_features(synth_dir / "text_features.jsonl") + load_features(synth_dir / "image_features.jsonl")
+    records = unified_records(model, raw)
+    path = tmp_path / "unified.jsonl"
+    save_features(records, path)
+    return path, records
 
+
+def test_pairhead_train_runs(synth_dir, tmp_path, capsys):
+    unified, _ = unified_corpus(synth_dir, tmp_path)
     out = tmp_path / "head.json"
     rc = run(
         [
             "pairhead-train",
-            "--features", merged,
-            "--pairs", pairs_path,
+            "--features", unified,
+            "--pairs", synth_dir / "pairs.tsv",
             "--out", out,
             "--epochs", "3",
             "--seed", "1",
@@ -510,23 +535,22 @@ def test_pairhead_train_runs(synth_dir, tmp_path, capsys):
     from cardl.dataio import load_pair_head
 
     head = load_pair_head(out)
-    assert head.embedding_dim == 12
+    assert head.embedding_dim == load_model(synth_dir / "oracle_model.json").unified_dim
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_pairhead_train_draws_the_negatives_of_the_per_pair_loop(synth_dir, tmp_path, capsys, seed):
     """Three negatives per positive, drawn in one call, train the head that
     one draw per negative (never the true partner) trained."""
-    features = synth_dir / "text_features.jsonl"
-    texts = load_features(features)
-    pairs = [(texts[k].id, texts[k + 9].id) for k in range(9)]
+    features, records = unified_corpus(synth_dir, tmp_path)
+    pairs = [tuple(line.split("\t")) for line in (synth_dir / "pairs.tsv").read_text().splitlines()[:9]]
     pairs_path, out, expected = tmp_path / "pairs.tsv", tmp_path / "head.json", tmp_path / "expected.json"
     pairs_path.write_text("".join(f"{t}\t{i}\n" for t, i in pairs))
     assert run(["pairhead-train", "--features", features, "--pairs", pairs_path, "--out", out,
                 "--epochs", "1", "--negatives-per-positive", "3", "--seed", seed]) == 0
     capsys.readouterr()
 
-    by_id = {r.id: r.vector for r in texts}
+    by_id = {r.id: r.vector for r in records}
     rng = np.random.default_rng(seed)
     examples = [PairExample(by_id[t], by_id[i], relevant=True) for t, i in pairs]
     for k, (t, _) in enumerate(pairs):
@@ -536,6 +560,23 @@ def test_pairhead_train_draws_the_negatives_of_the_per_pair_loop(synth_dir, tmp_
             examples.append(PairExample(by_id[t], by_id[pairs[j][1]], relevant=False))
     save_pair_head(fit_pair_head(examples, TrainConfig(epochs=1, seed=seed)), expected, seed=seed)
     assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "pairhead-train"])
+def test_a_pair_side_of_the_wrong_modality_is_a_data_error_naming_file_and_line(synth_dir, tmp_path, capsys, command):
+    lines = (synth_dir / "pairs.tsv").read_text().splitlines()
+    text_id = lines[0].split("\t")[0]
+    lines[2] = lines[2].split("\t")[0] + "\t" + text_id  # a text id in the image column
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("\n".join(lines) + "\n")
+    if command == "train":
+        argv = ["train", "--text-features", synth_dir / "text_features.jsonl",
+                "--image-features", synth_dir / "image_features.jsonl", "--epochs", "1"]
+    else:
+        argv = ["pairhead-train", "--features", unified_corpus(synth_dir, tmp_path)[0], "--epochs", "1"]
+    assert run([*argv, "--pairs", pairs, "--out", tmp_path / "out.json"]) == 2
+    assert f"cardl: error: {pairs}: line 3: image id {text_id!r} is a text record" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_parsed_defaults_are_the_library_defaults():

@@ -300,7 +300,7 @@ def test_pairs_unknown_id_rejected_with_known_ids(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text("t0\ti0\nt1\ti9\n")
     with pytest.raises(DataError, match="i9"):
-        load_pairs_and_qrels(path, known_ids={"t0", "i0", "t1"})
+        load_pairs_and_qrels(path, modality_of={"t0": "text", "i0": "image", "t1": "text"})
 
 
 def test_pairs_malformed_field_count(tmp_path):
@@ -326,7 +326,8 @@ def test_save_qrels_round_trip(tmp_path):
     save_qrels(qrels, qpath)
     assert qpath.read_text() == "t0\ti1\t1\nt1\ti0\t1\nt1\ti2\t1\n"
     save_pairs([PairedExample("t0", "i1"), PairedExample("t1", "i0")], ppath)
-    _, back = load_pairs_and_qrels(ppath, qpath, known_ids={"t0", "t1", "i0", "i1", "i2"})
+    modality_of = {"t0": "text", "t1": "text", "i0": "image", "i1": "image", "i2": "image"}
+    _, back = load_pairs_and_qrels(ppath, qpath, modality_of=modality_of)
     assert back == {"t0": {"i1"}, "t1": {"i0", "i2"}}
 
 

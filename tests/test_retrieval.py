@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -330,7 +331,7 @@ def full_sort_hex(index, q, modality):
     k=st.integers(1, 30),
     block_rows=st.integers(1, 4),
     n_queries=st.integers(1, 7),
-    hostile=st.sampled_from(["none", "near ties", "underflow", "rounding"]),
+    hostile=st.sampled_from(["none", "near ties", "underflow", "rounding", "floors"]),
     delta=st.sampled_from([1e-9, 1e-12, 1e-15]),
 )
 @settings(max_examples=40, deadline=None)
@@ -378,11 +379,35 @@ def test_batched_topk_equals_per_row_full_sort(
         modalities = rng.choice(["text", "image"], size=n)
     else:  # one contiguous run per modality, and a text side of only 3 entries
         modalities = ["text" if i < 3 else "image" for i in range(n)]
+    widen = 0.0
+    if hostile == "floors":
+        # k image rows near the first query put its k-th screen in [0.5, 1), where float32 steps
+        # by 2^-24: a margin 3/4 step wider (a wider band is always exact) leaves its floor
+        # 1/4 step above a float32, so rounding to nearest would round it down
+        vectors[group] = queries[0] + 1e-3 * rng.normal(size=(60, dim))
+        widen = 0.75 * 2.0**-24
+        # a text side of fewer than k rows, each -q for the first query: its
+        # k-th screen clips at -1, so its floor falls to -1 or below
+        k = max(k, 2)
+        text = rng.choice(n, int(rng.integers(1, k)), replace=False) if interleaved else np.arange(k - 1)
+        modalities = np.full(n, "image")
+        modalities[text] = "text"
+        vectors[text] = -queries[0] * rng.choice([2.0, 0.5, 1.0], (len(text), 1))
+    real_ceil32, real_margin, floors = retrieval._ceil32, retrieval._screen_margin, []
+
+    def margin(*args):
+        return real_margin(*args) + widen
+
+    def ceil32(values):
+        floors.append((values, real_ceil32(values)))
+        return floors[-1][1].copy()  # the kernel writes to the one it gets
+
     index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
     for modality in ("text", "image"):
         lo, hi, _ = index.spans[modality]
         # shrink the score block so query blocks straddle the block boundary
-        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, hi - lo) * block_rows):
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, hi - lo) * block_rows), \
+             mock.patch.object(retrieval, "_screen_margin", margin), mock.patch.object(retrieval, "_ceil32", ceil32):
             batched = query_topk_batch(index, queries, k, modality)
         assert len(batched) == n_queries
         for q, got in zip(queries, batched):
@@ -390,6 +415,14 @@ def test_batched_topk_equals_per_row_full_sort(
             assert [(r.rank, r.id, r.score.hex()) for r in got] == expected
             single = query_topk(index, q, k, modality)
             assert [(r.rank, r.id, r.score.hex()) for r in single] == expected
+    with pytest.raises(dataclasses.FrozenInstanceError):  # slots leave results frozen
+        single[0].score = 0.0
+    values, ceilings = (np.concatenate(parts) for parts in zip(*floors))
+    # each floor rounds up to the next float32, never to the nearest one below
+    assert ceilings.dtype == np.float32 and (ceilings >= values).all()
+    assert (np.nextafter(ceilings, np.float32(-np.inf)) < values).all()
+    if hostile == "floors":
+        assert (values <= -1.0).any() and (values.astype(np.float32) < values).any()
 
 
 def test_batched_topk_on_a_modality_with_no_entries():
