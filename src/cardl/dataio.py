@@ -627,19 +627,20 @@ def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> 
     records of a modality is one `project` call, and its unified records are
     made by one `FeatureRecord.block`, each owning its row."""
     out = list(records)
-    for modality in MODALITIES:
-        head = model.head_for(modality)
-        dim = head.input_dim
-        rows = [k for k, r in enumerate(records) if r.modality == modality]
-        wrong = next((records[k] for k in rows if records[k].dim != dim), None)
-        if wrong is not None:
-            raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, model expects {dim}")
-        for lo in range(0, len(rows), MAX_BLOCK_ROWS):
-            block = rows[lo : lo + MAX_BLOCK_ROWS]
-            ids = [records[k].id for k in block]
-            unit = project(head, np.array([records[k].vector for k in block]), ids=ids)
-            for k, record in zip(block, FeatureRecord.block(ids, modality, unit)):
-                out[k] = record
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as the NumericError alone
+        for modality in MODALITIES:
+            head = model.head_for(modality)
+            dim = head.input_dim
+            rows = [k for k, r in enumerate(records) if r.modality == modality]
+            wrong = next((records[k] for k in rows if records[k].dim != dim), None)
+            if wrong is not None:
+                raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, model expects {dim}")
+            for lo in range(0, len(rows), MAX_BLOCK_ROWS):
+                block = rows[lo : lo + MAX_BLOCK_ROWS]
+                ids = [records[k].id for k in block]
+                unit = project(head, np.array([records[k].vector for k in block]), ids=ids)
+                for k, record in zip(block, FeatureRecord.block(ids, modality, unit)):
+                    out[k] = record
     return out
 
 

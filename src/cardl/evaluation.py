@@ -5,6 +5,12 @@ Convention: AP over a run of length R divides by R' = min(total relevant, R),
 the standard normalization for truncated runs.  Queries with no judged
 relevant documents are skipped and counted, never averaged in as zero.
 Every report records this convention.
+
+AP is scored for a (queries x k) matrix of relevance flags at every cutoff
+at once: AP@k is column k - 1 of cumsum(where(flags, cumsum(flags) / rank,
+0)) over min(total relevant, k).  `np.cumsum` adds in rank order and adding
+0.0 is exact, so each AP has the bits of a loop adding hits / r at each
+relevant rank r.  `average_precision` is the single-run case.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .retrieval import (
     DIRECTIONS,
     UnifiedIndex,
     _project_queries,
-    query_topk_batch,
+    _topk_arrays,
 )
 
 # mapping query_id -> set of relevant doc ids
@@ -47,16 +53,15 @@ def average_precision(relevance_flags: Sequence[bool], total_relevant: int) -> f
         raise UsageError(f"total_relevant must be >= 0, got {total_relevant}")
     if len(relevance_flags) == 0:
         raise UsageError("run must contain at least one result")
-    r_prime = min(total_relevant, len(relevance_flags))
-    if r_prime == 0:
-        return 0.0
-    hits = 0
-    total = 0.0
-    for r, flag in enumerate(relevance_flags, start=1):
-        if flag:
-            hits += 1
-            total += hits / r
-    return total / r_prime
+    return float(_ap_at_every_cutoff(np.array([relevance_flags], dtype=bool), np.array([total_relevant]))[0, -1])
+
+
+def _ap_at_every_cutoff(flags: np.ndarray, total_relevant: np.ndarray) -> np.ndarray:
+    """AP@j (column j - 1) of each run (row of `flags`) at every cutoff j, 0 where R' == 0."""
+    rank = np.arange(1, flags.shape[1] + 1)
+    precision = np.where(flags, np.cumsum(flags, axis=1) / rank, 0.0)
+    r_prime = np.minimum(total_relevant[:, None], rank)
+    return np.divide(np.cumsum(precision, axis=1), r_prime, out=np.zeros(flags.shape), where=r_prime > 0)
 
 
 def mean_average_precision(ap_values: Sequence[float]) -> float:
@@ -109,20 +114,20 @@ def evaluate_retrieval(
     if not judged:
         raise DataError(f"zero judged queries for direction {direction}")
 
-    unified = _project_queries(model, [record for record, _ in judged], direction)
-    runs = query_topk_batch(index, unified, max(k_list), DIRECTION_SIDES[direction][1])
-    ap_per_query: dict[int, dict[str, float]] = {k: {} for k in k_list}
-    for (record, relevant), results in zip(judged, runs):
-        if not results:
-            raise DataError(f"index has no candidates for direction {direction}")
-        flags = [r.id in relevant for r in results]
-        for k in k_list:
-            ap_per_query[k][record.id] = average_precision(flags[:k], len(relevant))
-    map_at = {k: mean_average_precision(list(ap_per_query[k].values())) for k in k_list}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as the NumericError alone
+        unified = _project_queries(model, [record for record, _ in judged], direction)
+    rows, _ = _topk_arrays(index, unified, max(k_list), DIRECTION_SIDES[direction][1])
+    if rows.shape[1] == 0:
+        raise DataError(f"index has no candidates for direction {direction}")
+    ids = index.ids
+    flags = np.array([[ids[row] in relevant for row in run] for run, (_, relevant) in zip(rows.tolist(), judged)])
+    ap = _ap_at_every_cutoff(flags, np.array([len(relevant) for _, relevant in judged]))
+    ap_at = {k: ap[:, min(k, ap.shape[1]) - 1] for k in k_list}
+    query_ids = [record.id for record, _ in judged]
     return EvalReport(
         direction=direction,
-        map_at=map_at,
-        ap_per_query=ap_per_query,
+        map_at={k: mean_average_precision(column) for k, column in ap_at.items()},
+        ap_per_query={k: dict(zip(query_ids, column.tolist())) for k, column in ap_at.items()},
         evaluated=len(judged),
         skipped=skipped,
     )

@@ -49,12 +49,14 @@ made exact by a rounding bound:
    block, query by query and by ascending id within a query.  They are
    scored again in float64 with one stacked dot per band row
    (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
-   bits of the reference's `np.dot(row, q)`) and clipped.  One stable `np.lexsort` by query, then
-   -score, orders the whole block, so ties keep id order, and
-   `searchsorted` finds each query's run; the first k of each run are its
-   results.
+   bits of the reference's `np.dot(row, q)`) and clipped.  One stable
+   `np.lexsort` by query, then -score, orders the whole block, so ties keep
+   id order.  A band holds at least kk = min(k, candidates) rows, so one
+   fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
+   run starts, gives the results as (queries, kk) arrays of rows and scores.
 
-`query_topk` is the single-row case.
+`query_topk_batch` wraps them into `RetrievalResult` lists, and `query_topk`
+is its single-row case; `evaluate_retrieval` scores AP from the arrays.
 """
 
 from __future__ import annotations
@@ -221,13 +223,28 @@ def query_topk_batch(
 ) -> list[list[RetrievalResult]]:
     """`query_topk` for every row of `queries`, screened in blocks of rows;
     each row's results equal its single-row search."""
+    rows, scores = _topk_arrays(index, queries, k, filter_modality)
+    ids = index.ids
+    return [
+        [RetrievalResult(ids[row], score, rank) for rank, (row, score) in enumerate(zip(run, run_scores), start=1)]
+        for run, run_scores in zip(rows.tolist(), scores.tolist())
+    ]
+
+
+def _topk_arrays(
+    index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """`query_topk_batch` as (queries, min(k, candidates)) arrays of index rows, best first, and scores."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if filter_modality not in MODALITIES:
         raise UsageError(f"unknown modality filter {filter_modality!r}")
     queries = np.asarray(queries, dtype=np.float64)
+    lo, hi, others = index.spans[filter_modality]
+    kk = min(k, hi - lo - len(others))
+    rows, scores = np.zeros((len(queries), kk), dtype=np.intp), np.zeros((len(queries), kk))
     if len(index) == 0:
-        return [[] for _ in queries]
+        return rows, scores
     if queries.ndim != 2 or queries.shape[1] != index.dimension:
         raise DimensionError(
             f"query dim {queries.shape[1:]} does not match index dim ({index.dimension},)"
@@ -236,12 +253,11 @@ def query_topk_batch(
     if not finite.all():
         raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
     unit = l2_normalize(queries)
-    lo, hi, _ = index.spans[filter_modality]
     block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, hi - lo)))
-    results = []
-    for start in range(0, len(unit), block):
-        results += _topk_block(index, unit[start:start + block], k, filter_modality)
-    return results
+    for start in range(0, len(unit) if kk else 0, block):  # kk == 0: no candidates, every run is empty
+        block_rows = slice(start, start + block)
+        rows[block_rows], scores[block_rows] = _topk_block(index, unit[block_rows], kk, filter_modality)
+    return rows, scores
 
 
 def _gamma(n: int, u: float) -> float:
@@ -264,35 +280,33 @@ def _ceil32(values: np.ndarray) -> np.ndarray:
     return up
 
 
+def _band_floors(index: UnifiedIndex, unit: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """Each query's float32 band floor (module docstring, step 2) from its k-th screened score."""
+    margins = _screen_margin(index.dimension, index.max_norm, _dot_norms(unit))
+    floors = kth.clip(-1.0, 1.0).astype(np.float64) - margins
+    floors32 = _ceil32(floors)
+    floors32[floors <= -1.0] = _F32_LOWEST  # every candidate: its clipped screen is >= -1
+    return floors32
+
+
 def _topk_block(
-    index: UnifiedIndex, unit: np.ndarray, k: int, filter_modality: str
-) -> list[list[RetrievalResult]]:
-    """Screen, band and re-score one block of finite unit queries (module docstring)."""
+    index: UnifiedIndex, unit: np.ndarray, kk: int, filter_modality: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screen, band and re-score one block of finite unit queries (module docstring) for their kk best."""
     lo, hi, others = index.spans[filter_modality]
-    candidates = hi - lo - len(others)
-    if candidates == 0:
-        return [[] for _ in unit]
     screened = unit.astype(np.float32) @ index.vectors32[lo:hi].T  # a view of the span: no copy
     if len(others):
         screened[:, others] = -np.inf
-    kk = min(k, candidates)
-    kth = np.clip(np.partition(screened, -kk, axis=1)[:, -kk], -1.0, 1.0)
-    floors = kth.astype(np.float64) - _screen_margin(index.dimension, index.max_norm, _dot_norms(unit))
-    floors32 = _ceil32(floors)
-    floors32[floors <= -1.0] = _F32_LOWEST  # every candidate: its clipped screen is >= -1
+    floors32 = _band_floors(index, unit, np.partition(screened, -kk, axis=1)[:, -kk])
     query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), hi - lo)
     rows = lo + col
     # the reference's np.dot per row, as one stacked product, then its clip
-    scores = np.clip((index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0], -1.0, 1.0)
+    scores = (index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
     # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order
     order = np.lexsort((-scores, query))
-    bounds = np.searchsorted(query, np.arange(len(unit) + 1)).tolist()  # each query's run in `order`
-    ids, ranked_rows, ranked_scores = index.ids, rows[order].tolist(), scores[order].tolist()
-    return [
-        [RetrievalResult(ids[row], score, rank)
-         for rank, row, score in zip(range(1, k + 1), ranked_rows[a:b], ranked_scores[a:b])]
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    # each query's run in `order` starts where its rows start in `query`
+    best = order[query.searchsorted(np.arange(len(unit)))[:, None] + np.arange(kk)]
+    return rows[best], scores[best]
 
 
 def cross_media_search(
@@ -302,7 +316,8 @@ def cross_media_search(
     k: int,
     direction: str,
 ) -> list[RetrievalResult]:
-    """Project a raw query through the matching head and search the other modality."""
+    """Project a raw query through the matching head and search the other modality.  A projection
+    that overflows is a NumericError, but numpy warns first unless the caller sets `np.errstate`."""
     unified = _project_queries(model, [query], direction)[0]
     return query_topk(index, unified, k, filter_modality=DIRECTION_SIDES[direction][1])
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cardl import retrieval
 from cardl.alignment import linear_model, random_projection_model
 from cardl.dataio import SyntheticConfig, generate_synthetic, unified_records
-from cardl.errors import DataError, UsageError
+from cardl.errors import DataError, NumericError, UsageError
 from cardl.evaluation import (
     AP_CONVENTION,
     EvalReport,
@@ -18,7 +19,7 @@ from cardl.evaluation import (
     mean_average_precision,
 )
 from cardl.records import FeatureRecord
-from cardl.retrieval import build_index, cross_media_search
+from cardl.retrieval import DIRECTION_SIDES, build_index, cross_media_search
 
 
 def ap_oracle(flags, total_relevant):
@@ -36,6 +37,20 @@ def ap_oracle(flags, total_relevant):
         p_r = sum(flags[:r]) / r
         acc += p_r * delta
     return acc / r_prime
+
+
+def ap_loop(flags, total_relevant):
+    """Reference AP in the order of its definition: hits / r added at each
+    relevant rank r in turn, then one division by R'."""
+    r_prime = min(total_relevant, len(flags))
+    if r_prime == 0:
+        return 0.0
+    hits, total = 0, 0.0
+    for r, flag in enumerate(flags, start=1):
+        if flag:
+            hits += 1
+            total += hits / r
+    return total / r_prime
 
 
 # ------------------------------------------------------- average_precision --
@@ -76,6 +91,13 @@ def test_ap_exhaustive_matches_oracle():
                 got = average_precision(list(flags), total)
                 want = ap_oracle(list(flags), total)
                 assert abs(got - want) < 1e-12, (flags, total)
+
+
+def test_ap_has_the_bits_of_a_sequential_loop():
+    for length in range(1, 11):
+        for flags in itertools.product([False, True], repeat=length):
+            for total in range(0, 13):
+                assert average_precision(flags, total).hex() == ap_loop(flags, total).hex(), (flags, total)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=10))
@@ -218,16 +240,35 @@ def test_evaluate_equals_per_query_cross_media_search(direction):
                         latent_dim=4, noise_sigma=0.5, seed=3, same_cluster_relevant=True)
     )
     model = random_projection_model(12, 16, unified_dim=6, seed=1)
-    index = build_index(unified_records(model, ds.text_records + ds.image_records))
+    # 6 images, fewer than max(k_list): txt2img runs are shorter than some cutoffs
+    index = build_index(unified_records(model, ds.text_records + ds.image_records[:6]))
     queries = ds.text_records if direction == "txt2img" else ds.image_records
     k_list = (1, 5, 10)
-    # a score block of 7 rows: 120 queries run as 17 full blocks and one short one
-    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * 120 * 7):
+    lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
+    # a score block of 7 rows: 120 queries run as 17 full blocks and one short one;
+    # and no result object is built on the way
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * (hi - lo) * 7), \
+         mock.patch.object(retrieval, "RetrievalResult", side_effect=AssertionError("a RetrievalResult")):
         rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=k_list, direction=direction)
+        with pytest.raises(AssertionError, match="a RetrievalResult"):
+            cross_media_search(model, index, queries[0], 1, direction)
     assert rep.evaluated == len(queries)
+    assert all(len(ds.qrels[record.id]) > 1 for record in queries)
     for record in queries:
         results = cross_media_search(model, index, record, max(k_list), direction)
         relevant = ds.qrels[record.id]
         flags = [r.id in relevant for r in results]
         for k in k_list:
-            assert rep.ap_per_query[k][record.id] == average_precision(flags[:k], len(relevant))
+            assert rep.ap_per_query[k][record.id].hex() == ap_loop(flags[:k], len(relevant)).hex()
+
+
+def test_a_projection_that_overflows_is_a_numeric_error_naming_the_record_with_no_warning():
+    model = linear_model(np.array([[1e308, 0.0], [0.0, 1.0]]), np.eye(2))
+    index = build_index([("i0", "image", [1.0, 0.0]), ("t0", "text", [1.0, 0.0])])
+    texts = [FeatureRecord("t0", "text", np.array([1.0, 0.0])), FeatureRecord("t1", "text", np.array([2.0, 0.0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"non-finite projection \(t1\)"):
+            evaluate_retrieval(model, index, texts, {"t0": {"i0"}, "t1": {"i0"}}, k_list=(1,))
+        with pytest.raises(NumericError, match=r"non-finite projection \(t1\)"):
+            unified_records(model, texts)

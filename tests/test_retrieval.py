@@ -425,6 +425,19 @@ def test_batched_topk_equals_per_row_full_sort(
         assert (values <= -1.0).any() and (values.astype(np.float32) < values).any()
 
 
+def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
+    idx = build_index(make_items(8, 5, seed=2))
+    unit = l2_normalize(np.random.default_rng(2).normal(size=(1, 5)))
+    m = retrieval._screen_margin(idx.dimension, idx.max_norm, retrieval._dot_norms(unit))[0]
+    # k-th screens below -1, at -1, above -1 by less than m, and by more than m
+    kth = np.array([-1.5, -1.0, -1.0 + m / 2, -1.0 + 4 * m, 0.5], dtype=np.float32)
+    floors = retrieval._band_floors(idx, np.repeat(unit, len(kth), axis=0), kth)
+    assert floors.dtype == np.float32
+    assert (floors[:3] == np.finfo(np.float32).min).all()
+    ceilings = retrieval._ceil32(np.clip(kth[3:], -1.0, 1.0).astype(np.float64) - m)
+    assert np.array_equal(floors[3:], ceilings) and (-1.0 < floors[3:]).all() and (floors[3:] <= kth[3:]).all()
+
+
 def test_batched_topk_on_a_modality_with_no_entries():
     idx = build_index([(f"i{k}", "image", v) for k, v in enumerate(np.eye(3))])
     assert query_topk_batch(idx, np.ones((2, 3)), 10, "text") == [[], []]
