@@ -6,14 +6,64 @@ ties broken by ascending id.  Results equal a brute-force reference (one
 float64 `np.dot` per candidate, clipped to [-1, 1], then a full sort) in
 ids, tie order and score bits.
 
-One kernel, `query_topk_batch`, answers a block of queries in three steps,
+One kernel, `query_topk_batch`, answers a block of queries in four steps:
 the "score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
-made exact by a rounding bound:
+made exact by a rounding bound, after a ball bound drops rows that cannot
+reach the top-k:
 
-1. Screen: one float32 BLAS product scores the modality's row span for the
-   whole block against `UnifiedIndex.vectors32`, the float32 copy of the
-   index; rows of the other modality inside the span, if any, are set to
-   -inf.  The screen itself is not clipped.
+0. Blocks: `UnifiedIndex` cuts each modality's rows, in id order, into
+   blocks of BOUND_BLOCK_ROWS, the last also holding the remainder.  A
+   block's centre c is its middle row as stored in `vectors32`, so
+   ||c|| <= C = (1 + u) * N, with u as in step 2 and N the largest row norm.
+   Its radius rho bounds ||x - c|| for each of its float64 rows x:
+   ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 is at most
+   N^2 - 2 * min fl32(x.c) + C^2 plus what rounding can hide, which is
+   2e * (N + C)^2 for the float32 dots (e is E of step 2 over ||r|| * ||q||,
+   with c for q), 8 * d * 2^-150 for their underflow, and
+   gamma_{d+8}(2^-53) * (N + C)^2 for the float64 arithmetic, the computed
+   norms and the square root (helped by e's gamma_d(2^-53), which is for a
+   reference dot these dots do not have).  By Cauchy-Schwarz x.q lies
+   within rho * ||q|| of c.q: the ball bound of Ram & Gray, "Maximum
+   Inner-Product Search using Cone Trees", KDD 2012.  One float32 product
+   screens the centres for the whole block of queries, giving s, and with
+       M = ||q|| * [e * C + (1 + u) * rho + gamma_d(2^-53) * N] + 4 * d * 2^-150
+   (E of step 2 with ||c|| in place of ||r||, plus ||q|| * rho and the
+   reference dot's gamma_d(2^-53) * ||x|| * ||q||) the reference score of
+   every row of the block lies in [lo, hi] = clip([s - M, s + M], -1, 1).
+   The E part holds more than the screen of an exact float32 c needs, and
+   with the (1 + u) that leaves u * (||c|| + rho) * ||q|| >= u * ||x|| * ||q||
+   of slack for the float64 rounding of M and of s +- M.  Every block holds
+   at least BOUND_BLOCK_ROWS rows, so the need = ceil(kk / BOUND_BLOCK_ROWS)
+   best blocks by lo hold at least kk rows, each scoring at least the
+   need-th largest lo, L: a query's k-th reference score is at least L.  A
+   block whose hi is below L for every query of the block holds only rows
+   that score below each query's k-th score, none in a top-k or tied with
+   its k-th, so it is dropped.  The code keeps a block where s + M >=
+   min(l, 1), l being the need-th largest s - M, and keeps every block
+   where l <= -1: the same test, with no clip of the (queries, blocks)
+   bounds.  Steps 1-3 then run on the rows of the kept blocks, gathered in
+   id order; they hold every row scoring at least the k-th score, and at
+   least kk rows, which is all that the argument of step 2 needs.
+   A drop needs hi_b < lo_b' for some blocks b and b', so rho_b + rho_b' <
+   ||c_b|| + ||c_b'|| <= 2C.  Where every radius is at least C (rows with no
+   cluster structure in id order) no block could ever be dropped, and
+   `UnifiedIndex.blocks` holds None for the modality, as it does for a
+   modality of fewer than BOUND_MIN_ROWS rows, whose whole screen costs
+   about what the bound's bookkeeping does.  Steps 1-3 screen the
+   modality's row span then, and also for a block of more than
+   BOUND_MAX_QUERIES queries, whose kept rows are most of the span, or
+   where more than half the blocks stay: gathering what they keep would
+   cost more than screening the span.  The gain needs the rows of a block
+   to lie near one another, as in the benchmark's synthetic corpora, whose
+   ids run cluster by cluster: with k = 10 a single query reads 4.8% of the
+   `query_stream` rows and 10.2% of the `eval_batch` ones.  Where blocks
+   are kept, their centres cost a screen of 1/BOUND_BLOCK_ROWS of the rows'
+   bytes and bookkeeping on one score per block; where none are kept (the
+   trained `cli_pipeline` index, random unit rows), nothing.
+1. Screen: one float32 BLAS product scores the rows for the whole block
+   against `UnifiedIndex.vectors32`, the float32 copy of the index; rows of
+   the other modality inside a span, if any, are set to -inf.  The screen
+   itself is not clipped.
 2. Band: a partition finds each query's k-th largest screened score, and
    only that score is clipped to [-1, 1], giving t; clipping is monotone,
    so it is the k-th of the clipped screen.  Every candidate whose screened
@@ -62,6 +112,7 @@ is its single-row case; `evaluate_retrieval` scores AP from the arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +131,14 @@ DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 # 8 bytes a score), so that memory does not grow with the number of queries
 # searched at once.
 SCORE_BLOCK_BYTES = 2 << 20
+
+# Rows of one modality, in id order, that share one centre and radius; the
+# fewest rows a modality needs for blocks, below which a single query's screen
+# costs no more than their bookkeeping; and the most queries a block of
+# queries may hold to be screened by them (step 0).
+BOUND_BLOCK_ROWS = 16
+BOUND_MIN_ROWS = 4096
+BOUND_MAX_QUERIES = 8
 
 _F32_ROUNDOFF = 2.0**-24
 _F64_ROUNDOFF = 2.0**-53
@@ -112,6 +171,17 @@ class RetrievalResult:
     rank: int
 
 
+class BoundBlocks(NamedTuple):
+    """One modality's rows, in id order, cut into blocks of BOUND_BLOCK_ROWS
+    (the last also holds the remainder), with each block's centre and radius
+    (module docstring, step 0)."""
+
+    rows: np.ndarray  # the modality's index rows, ascending
+    centres: np.ndarray  # c, (blocks, dimension) float32
+    radii: np.ndarray  # rho >= ||x - c|| for every row x of the block
+    widths: np.ndarray  # W: the block's margin M is ||q|| * W + 4 * d * 2^-150
+
+
 @dataclass(frozen=True)
 class UnifiedIndex:
     """Unit-norm vectors in canonical (ascending id) order; immutable.
@@ -123,7 +193,9 @@ class UnifiedIndex:
 
     `vectors32` is a read-only float32 copy of `vectors` derived at
     construction for the search screen: it costs 4 bytes per coordinate in
-    memory and is never serialized."""
+    memory and is never serialized.  So is `blocks`, each modality's
+    `BoundBlocks` or None: a centre per BOUND_BLOCK_ROWS rows and a row
+    index per row."""
 
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
@@ -133,6 +205,7 @@ class UnifiedIndex:
     spans: dict[str, tuple[int, int, np.ndarray]] = field(init=False, repr=False, compare=False)
     max_norm: float = field(init=False, repr=False, compare=False)
     vectors32: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: dict[str, BoundBlocks | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = np.array(self.ids, dtype=object)
@@ -166,6 +239,10 @@ class UnifiedIndex:
         vectors32 = self.vectors.astype(np.float32)
         vectors32.setflags(write=False)
         object.__setattr__(self, "vectors32", vectors32)
+        object.__setattr__(self, "blocks", {
+            modality: _bound_blocks(vectors32, self.max_norm, np.flatnonzero(mask))
+            for modality, mask in masks.items()
+        })
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -173,6 +250,30 @@ class UnifiedIndex:
     @property
     def dimension(self) -> int | None:
         return None if len(self.ids) == 0 else self.vectors.shape[1]
+
+
+def _bound_blocks(vectors32: np.ndarray, max_norm: float, rows: np.ndarray) -> BoundBlocks | None:
+    """The `BoundBlocks` of the index rows `rows`, or None where they could
+    never drop a block (module docstring, step 0)."""
+    n, d, size = len(rows), vectors32.shape[1], BOUND_BLOCK_ROWS
+    if n < max(BOUND_MIN_ROWS, size):
+        return None
+    x = vectors32[int(rows[0]):int(rows[-1]) + 1] if rows[-1] - rows[0] == n - 1 else vectors32[rows]
+    cut = n - n % size - size  # the last block also holds the remainder
+    starts = np.arange(0, cut + 1, size)
+    centres = np.take(x, (starts + np.append(starts[1:], n)) // 2, axis=0)  # each block's middle row
+    parts = [x[:cut].reshape(cut // size, size, d), x[None, cut:]]
+    # each block's least x.c: one stacked GEMV, then a minimum over the block's rows, laid out
+    # as (rows, blocks) since numpy reduces a short last axis one row at a time
+    lowest = np.concatenate([(part @ c[:, :, None])[:, :, 0].T.copy().min(axis=0)
+                             for part, c in zip(parts, (centres[:-1], centres[-1:]))])
+    centre_norm = (1 + _F32_ROUNDOFF) * max_norm  # at least ||c||: c is a row rounded to float32
+    spread = max_norm**2 - 2 * lowest.astype(np.float64) + centre_norm**2
+    slack = (2 * _screen_relative_error(d) + _gamma(d + 8, _F64_ROUNDOFF)) * (max_norm + centre_norm) ** 2
+    radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * _F32_UNDERFLOW)
+    if radii.min() >= centre_norm:  # no block can ever be dropped
+        return None
+    return BoundBlocks(rows, centres, radii, _block_widths(d, max_norm, centre_norm, radii))
 
 
 def build_index(items) -> UnifiedIndex:
@@ -265,11 +366,25 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u)
 
 
+def _screen_relative_error(d: int) -> float:
+    """The factor of ||r|| * ||q|| in E of the module docstring."""
+    u = _F32_ROUNDOFF
+    return (2 * u + u * u) + _gamma(d + 1, u) * (1 + u) ** 2 + _gamma(d, _F64_ROUNDOFF)
+
+
 def _screen_margin(d: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
     """m = 2E of the module docstring, per query."""
-    u = _F32_ROUNDOFF
-    relative = (2 * u + u * u) + _gamma(d + 1, u) * (1 + u) ** 2 + _gamma(d, _F64_ROUNDOFF)
-    return 2 * (relative * max_norm * q_norms + 4 * d * _F32_UNDERFLOW)
+    return 2 * (_screen_relative_error(d) * max_norm * q_norms + 4 * d * _F32_UNDERFLOW)
+
+
+def _block_widths(d: int, max_norm: float, centre_norm: float, radii: np.ndarray) -> np.ndarray:
+    """The bracket of M, step 0 of the module docstring, per block."""
+    return _screen_relative_error(d) * centre_norm + (1 + _F32_ROUNDOFF) * radii + _gamma(d, _F64_ROUNDOFF) * max_norm
+
+
+def _block_margin(d: int, widths: np.ndarray, q_norms: np.ndarray) -> np.ndarray:
+    """M of the module docstring, step 0, per query and block."""
+    return q_norms[:, None] * widths + 4 * d * _F32_UNDERFLOW
 
 
 def _ceil32(values: np.ndarray) -> np.ndarray:
@@ -280,13 +395,36 @@ def _ceil32(values: np.ndarray) -> np.ndarray:
     return up
 
 
-def _band_floors(index: UnifiedIndex, unit: np.ndarray, kth: np.ndarray) -> np.ndarray:
-    """Each query's float32 band floor (module docstring, step 2) from its k-th screened score."""
-    margins = _screen_margin(index.dimension, index.max_norm, _dot_norms(unit))
+def _band_floors(index: UnifiedIndex, q_norms: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """Each query's float32 band floor (module docstring, step 2) from its norm and k-th screened score."""
+    margins = _screen_margin(index.dimension, index.max_norm, q_norms)
     floors = kth.clip(-1.0, 1.0).astype(np.float64) - margins
     floors32 = _ceil32(floors)
     floors32[floors <= -1.0] = _F32_LOWEST  # every candidate: its clipped screen is >= -1
     return floors32
+
+
+def _kept_rows(
+    index: UnifiedIndex, unit32: np.ndarray, q_norms: np.ndarray, kk: int, filter_modality: str
+) -> np.ndarray | None:
+    """The rows, ascending, of every block whose upper bound reaches some
+    query's floor L (module docstring, step 0), or None to keep them all."""
+    blocks, size = index.blocks[filter_modality], BOUND_BLOCK_ROWS
+    need = -(-kk // size)  # `need` blocks of at least `size` rows hold kk rows
+    if blocks is None or len(unit32) > BOUND_MAX_QUERIES or need > len(blocks.centres):
+        return None
+    centre = unit32 @ blocks.centres.T
+    margin = _block_margin(index.dimension, blocks.widths, q_norms)
+    # the need-th best lower bound; L is it clipped to [-1, 1], and at -1 every block stays
+    best = np.partition(centre - margin, -need, axis=1)[:, -need]
+    floors = np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
+    keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
+    if 2 * len(keep) > len(blocks.centres):  # gathering most of the span costs more than screening it
+        return None
+    offsets = (keep[:, None] * size + np.arange(size)).ravel()
+    if keep[-1] == len(blocks.centres) - 1:  # the last block also holds the remainder
+        offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(blocks.rows)))
+    return blocks.rows[offsets]
 
 
 def _topk_block(
@@ -294,12 +432,17 @@ def _topk_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screen, band and re-score one block of finite unit queries (module docstring) for their kk best."""
     lo, hi, others = index.spans[filter_modality]
-    screened = unit.astype(np.float32) @ index.vectors32[lo:hi].T  # a view of the span: no copy
-    if len(others):
-        screened[:, others] = -np.inf
-    floors32 = _band_floors(index, unit, np.partition(screened, -kk, axis=1)[:, -kk])
-    query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), hi - lo)
-    rows = lo + col
+    unit32, q_norms = unit.astype(np.float32), _dot_norms(unit)
+    kept = _kept_rows(index, unit32, q_norms, kk, filter_modality)
+    if kept is None:
+        screened = unit32 @ index.vectors32[lo:hi].T  # a view of the span: no copy
+        if len(others):
+            screened[:, others] = -np.inf
+    else:
+        screened = unit32 @ np.take(index.vectors32, kept, axis=0).T
+    floors32 = _band_floors(index, q_norms, np.partition(screened, -kk, axis=1)[:, -kk])
+    query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), screened.shape[1])
+    rows = lo + col if kept is None else kept[col]
     # the reference's np.dot per row, as one stacked product, then its clip
     scores = (index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
     # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order

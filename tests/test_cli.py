@@ -579,6 +579,18 @@ def test_a_pair_side_of_the_wrong_modality_is_a_data_error_naming_file_and_line(
     assert not (tmp_path / "out.json").exists()
 
 
+def test_eval_on_an_index_with_no_candidates_for_a_direction_names_the_index(synth_dir, tmp_path, capsys):
+    model = synth_dir / "oracle_model.json"
+    unified = tmp_path / "unified_text.jsonl"
+    assert run(["embed", "--model", model, "--features", synth_dir / "text_features.jsonl", "--out", unified]) == 0
+    index = tmp_path / "text_only_index.json"
+    assert run(["index", "--vectors", unified, "--out", index]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--index", index, "--model", model, "--text-features", synth_dir / "text_features.jsonl",
+                "--image-features", synth_dir / "image_features.jsonl", "--pairs", synth_dir / "pairs.tsv"]) == 2
+    assert f"cardl: error: {index}: index has no candidates for direction txt2img" in capsys.readouterr().err
+
+
 def test_parsed_defaults_are_the_library_defaults():
     """Each CLI default is the library's; the seeds alone differ, since an
     unseeded CLI run takes CARDL_SEED, then 0."""

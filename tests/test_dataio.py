@@ -138,6 +138,7 @@ def test_find_feature_equals_the_loaded_record(tmp_path):
     texts, images = small_records()
     path = tmp_path / "f.jsonl"
     save_features(texts + images, path)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))  # the last line has no line end
     for want in load_features(path):
         got = dataio.find_feature(path, want.id)
         assert (got.id, got.modality, got.vector.tobytes()) == (want.id, want.modality, want.vector.tobytes())
@@ -153,11 +154,14 @@ def test_find_feature_errors_name_the_file_and_the_line(tmp_path):
         ([b, "", '{"id":"a", "vector"'], r"f\.jsonl: malformed record at line 3"),
         # a line with a backslash is decoded whatever id it holds
         ([a, "", '{"id":"\\u0062","modality":"text","vector":[]}'], r"f\.jsonl: malformed record at line 3"),
+        # the id's JSON string at byte 0 of the file
+        (['"a"', b], r"f\.jsonl: malformed record at line 1"),
     ]
     for lines, message in cases:
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=message):
-            dataio.find_feature(path, "a")
+        for end in ("\n", ""):  # with and without a line end after the last line
+            path.write_text("\n".join(lines) + end)
+            with pytest.raises(DataError, match=message):
+                dataio.find_feature(path, "a")
 
 
 def test_find_feature_does_not_validate_lines_that_cannot_hold_the_id(tmp_path):

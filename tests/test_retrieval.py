@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -331,7 +332,7 @@ def full_sort_hex(index, q, modality):
     k=st.integers(1, 30),
     block_rows=st.integers(1, 4),
     n_queries=st.integers(1, 7),
-    hostile=st.sampled_from(["none", "near ties", "underflow", "rounding", "floors"]),
+    hostile=st.sampled_from(["none", "near ties", "underflow", "rounding", "floors", "blocks"]),
     delta=st.sampled_from([1e-9, 1e-12, 1e-15]),
 )
 @settings(max_examples=40, deadline=None)
@@ -375,10 +376,29 @@ def test_batched_topk_equals_per_row_full_sort(
         error = (pool.astype(np.float32) @ q.astype(np.float32)) - pool @ q
         order = np.argsort(error)
         vectors[group] = pool[np.concatenate([order[:30], order[-30:]])]
+    elif hostile == "blocks":
+        # rows in id order run cluster by cluster, so most blocks of a modality lie in one
+        # cluster, and the queries are rows of one cluster, so they keep few blocks; around
+        # the first row of the cluster after theirs, k + 4 rows are copies of the first
+        # query, exact ties (power-of-two rescalings) and near ties (+ delta * e_j): the
+        # block they start must be kept
+        labels = np.arange(n) * int(rng.integers(8, 17)) // n
+        vectors = rng.normal(size=(labels[-1] + 1, dim))[labels] + 1e-3 * rng.normal(size=(n, dim))
+        at = rng.choice(np.flatnonzero(labels == rng.integers(labels[-1] + 1)), n_queries)
+        queries[:] = vectors[at]
+        at = int(at[0])
+        edge = int(np.searchsorted(labels, min(labels[at] + 1, labels[-1])))  # a first row of a cluster
+        ties = np.arange(max(0, edge - k // 2 - 2), min(n, edge + k // 2 + 2))
+        vectors[ties] = queries[0] * rng.choice([2.0, 0.5, 1.0], (len(ties), 1))
+        near = ties[rng.random(len(ties)) < 0.5]
+        vectors[near, rng.integers(dim, size=len(near))] += delta * rng.choice([-1.0, 1.0], len(near))
     if interleaved:
         modalities = rng.choice(["text", "image"], size=n)
     else:  # one contiguous run per modality, and a text side of only 3 entries
-        modalities = ["text" if i < 3 else "image" for i in range(n)]
+        modalities = np.array(["text" if i < 3 else "image" for i in range(n)])
+    images = np.flatnonzero(modalities == "image")
+    if hostile == "blocks" and len(images) % retrieval.BOUND_BLOCK_ROWS == 0:
+        modalities[images[-1]] = "text"  # a remainder for the last block of images
     widen = 0.0
     if hostile == "floors":
         # k image rows near the first query put its k-th screen in [0.5, 1), where float32 steps
@@ -393,7 +413,8 @@ def test_batched_topk_equals_per_row_full_sort(
         modalities = np.full(n, "image")
         modalities[text] = "text"
         vectors[text] = -queries[0] * rng.choice([2.0, 0.5, 1.0], (len(text), 1))
-    real_ceil32, real_margin, floors = retrieval._ceil32, retrieval._screen_margin, []
+    real_ceil32, real_margin, real_kept_rows = retrieval._ceil32, retrieval._screen_margin, retrieval._kept_rows
+    floors, kept = [], []
 
     def margin(*args):
         return real_margin(*args) + widen
@@ -402,12 +423,18 @@ def test_batched_topk_equals_per_row_full_sort(
         floors.append((values, real_ceil32(values)))
         return floors[-1][1].copy()  # the kernel writes to the one it gets
 
-    index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
+    def kept_rows(*args):
+        kept.append(real_kept_rows(*args))
+        return kept[-1]
+
+    with mock.patch.object(retrieval, "BOUND_MIN_ROWS", retrieval.BOUND_BLOCK_ROWS):  # blocks for ~2,000 rows
+        index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
     for modality in ("text", "image"):
         lo, hi, _ = index.spans[modality]
         # shrink the score block so query blocks straddle the block boundary
         with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, hi - lo) * block_rows), \
-             mock.patch.object(retrieval, "_screen_margin", margin), mock.patch.object(retrieval, "_ceil32", ceil32):
+             mock.patch.object(retrieval, "_screen_margin", margin), mock.patch.object(retrieval, "_ceil32", ceil32), \
+             mock.patch.object(retrieval, "_kept_rows", kept_rows):
             batched = query_topk_batch(index, queries, k, modality)
         assert len(batched) == n_queries
         for q, got in zip(queries, batched):
@@ -423,6 +450,10 @@ def test_batched_topk_equals_per_row_full_sort(
     assert (np.nextafter(ceilings, np.float32(-np.inf)) < values).all()
     if hostile == "floors":
         assert (values <= -1.0).any() and (values.astype(np.float32) < values).any()
+    if hostile == "blocks" and dim > 1:  # some block of queries dropped rows
+        assert any(rows is not None for rows in kept)
+    if hostile == "none" and dim > 1:  # no cluster structure: every search screened the whole span
+        assert all(rows is None for rows in kept) and all(blocks is None for blocks in index.blocks.values())
 
 
 def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
@@ -431,11 +462,148 @@ def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
     m = retrieval._screen_margin(idx.dimension, idx.max_norm, retrieval._dot_norms(unit))[0]
     # k-th screens below -1, at -1, above -1 by less than m, and by more than m
     kth = np.array([-1.5, -1.0, -1.0 + m / 2, -1.0 + 4 * m, 0.5], dtype=np.float32)
-    floors = retrieval._band_floors(idx, np.repeat(unit, len(kth), axis=0), kth)
+    floors = retrieval._band_floors(idx, np.repeat(retrieval._dot_norms(unit), len(kth)), kth)
     assert floors.dtype == np.float32
     assert (floors[:3] == np.finfo(np.float32).min).all()
     ceilings = retrieval._ceil32(np.clip(kth[3:], -1.0, 1.0).astype(np.float64) - m)
     assert np.array_equal(floors[3:], ceilings) and (-1.0 < floors[3:]).all() and (floors[3:] <= kth[3:]).all()
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Bound blocks for a modality of any size, so that small indexes take step 0."""
+    monkeypatch.setattr(retrieval, "BOUND_MIN_ROWS", retrieval.BOUND_BLOCK_ROWS)
+
+
+def test_a_modality_of_fewer_than_bound_min_rows_keeps_no_blocks():
+    rows = [[1.0, j / retrieval.BOUND_MIN_ROWS] for j in range(retrieval.BOUND_MIN_ROWS)]
+    for n, kept in ((len(rows) - 1, False), (len(rows), True)):
+        index = build_index([(f"i{j:05d}", "image", row) for j, row in enumerate(rows[:n])])
+        assert (index.blocks["image"] is not None) == kept
+
+
+def exact_gamma(n, v):
+    return n * v / (1 - n * v)
+
+
+def exact_relative_error(d, gamma_d_u):
+    """E of the module docstring over ||r|| * ||q||, in exact arithmetic, with gamma_d_u for gamma_d(u)."""
+    u, eps = Fraction(1, 2**24), Fraction(1, 2**53)
+    return (2 * u + u * u) + gamma_d_u * (1 + u) ** 2 + exact_gamma(d, eps)
+
+
+@pytest.mark.parametrize("d", [1, 3, 64, 257, 4096, 2**20])
+def test_margins_are_at_least_their_closed_forms(d):
+    """m = 2E (step 2) and M (step 0), recomputed from the docstring in exact
+    arithmetic: each float64 margin is at least its closed form with
+    gamma_{d+1}(u), up to the float64 rounding of its few terms, and at least
+    what the proofs need with gamma_d(u) plus the slack they leave for rounding."""
+    u, eps, tiny = Fraction(1, 2**24), Fraction(1, 2**53), 4 * d * Fraction(1, 2**150)
+    rounding = 1 - Fraction(1, 2**50)
+    q_norms = np.array([1e-40, 1 - 2**-52, 1.0, 1 + 2**-52, 3.0])
+    radii = np.array([0.0, 1e-3, 0.118, 1.5])
+    for max_norm in (1 - 1e-9, 1.0, 1 + 1e-9):
+        screen = retrieval._screen_margin(d, max_norm, q_norms)
+        centre_norm = (1 + 2.0**-24) * max_norm
+        block = retrieval._block_margin(d, retrieval._block_widths(d, max_norm, centre_norm, radii), q_norms)
+        n, c = Fraction(max_norm), Fraction(centre_norm)
+        for i, q in enumerate(map(Fraction, q_norms)):
+            closed = 2 * (exact_relative_error(d, exact_gamma(d + 1, u)) * n * q + tiny)
+            needed = 2 * (exact_relative_error(d, exact_gamma(d, u)) * n * q + tiny) + u * n * q
+            assert Fraction(screen[i]) >= closed * rounding and Fraction(screen[i]) >= needed
+            for j, rho in enumerate(map(Fraction, radii)):
+                closed = q * (exact_relative_error(d, exact_gamma(d + 1, u)) * c + (1 + u) * rho
+                              + exact_gamma(d, eps) * n) + tiny
+                needed = (exact_relative_error(d, exact_gamma(d, u)) * c * q + tiny + rho * q
+                          + exact_gamma(d, eps) * n * q + u * (c + rho) * q)
+                assert Fraction(block[i, j]) >= closed * rounding and Fraction(block[i, j]) >= needed
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-200, 1e-12, 1e-3, 0.3])
+def test_block_radii_bound_every_float64_row(spread, small_blocks):
+    """rho >= ||x - c|| in exact arithmetic, for the float64 rows of each block,
+    with rows that repeat one direction, differ in their last bits or spread out,
+    a remainder for the last block, and rows of the other modality between them."""
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=8)
+    rows = base + spread * rng.normal(size=(53, 8))
+    rows[::7] = base * 2.0  # exact repeats of one direction
+    items = [(f"i{j:03d}", "image", row) for j, row in enumerate(rows)] + [("i010x", "text", -base)]
+    index = build_index(items)
+    blocks = index.blocks["image"]
+    assert blocks is not None and len(blocks.centres) == 3  # 16 + 16 + 21 rows
+    for b, (centre, rho) in enumerate(zip(blocks.centres, blocks.radii)):
+        members = blocks.rows[16 * b: 16 * b + 16] if b < 2 else blocks.rows[32:]
+        c = [Fraction(float(v)) for v in centre]
+        for row in members:
+            assert index.modalities[row] == "image"
+            assert Fraction(rho) ** 2 >= sum((Fraction(float(v)) - cj) ** 2 for v, cj in zip(index.vectors[row], c))
+
+
+def test_a_block_radius_covers_the_float32_dots_that_round_furthest_up(small_blocks):
+    """Rows so near the centre that float32 cannot resolve x.c: the rows whose
+    stacked float32 dot with c rounds furthest above the float64 one make the
+    computed spread smallest, and rho must still bound ||x - c||."""
+    rng = np.random.default_rng(2)
+    d = 257
+    pool = rng.normal(size=d) + 1e-7 * rng.normal(size=(2**12 + 1, d))
+    pool /= np.linalg.norm(pool, axis=1)[:, None]
+    c = pool[-1].astype(np.float32)
+    # each row's dot as the blocks compute it, one stacked GEMV over blocks of 16 rows
+    up = (pool[:-1].astype(np.float32).reshape(-1, 16, d) @ np.tile(c, (2**8, 1))[:, :, None]).ravel() - pool[:-1] @ c
+    rows = pool[np.argsort(up)[-15:]]
+    # the rows as they are, with no normalization that could move their bits
+    index = UnifiedIndex(ids=tuple(f"i{j:02d}" for j in range(16)), modalities=("image",) * 16,
+                         vectors=np.array([*rows[:8], pool[-1], *rows[8:]]))
+    blocks = index.blocks["image"]
+    assert blocks is not None and (blocks.centres[0] == c).all()
+    rho = Fraction(float(blocks.radii[0]))
+    for x in index.vectors:
+        assert rho**2 >= sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(x, c))
+
+
+@pytest.mark.parametrize("spread, kept", [(58, True), (62, False)])
+def test_blocks_are_kept_only_where_one_could_be_dropped(spread, kept, small_blocks):
+    # the rows of each block lie within `spread` degrees of its middle row, so its radius
+    # is 2 sin(spread / 2): below the centres' norm at 58 degrees, above it at 62
+    angles = np.radians(np.concatenate([base + np.linspace(-spread, spread, 16) for base in (0, 180)]))
+    angles[[8, 24]] = np.radians([0, 180])  # the middle rows
+    index = build_index([(f"i{j:02d}", "image", [np.cos(a), np.sin(a)]) for j, a in enumerate(angles)])
+    assert (index.blocks["image"] is not None) == kept
+
+
+def test_a_screen_equal_to_its_floor_stays_in_the_band():
+    # with no margin a query's band floor is its k-th screen itself; the k-th row must stay
+    idx = build_index([(f"i{j}", "image", [np.cos(j / 4), np.sin(j / 4)]) for j in range(6)])
+    with mock.patch.object(retrieval, "_screen_margin", lambda d, max_norm, q_norms: np.zeros(len(q_norms))):
+        got = query_topk(idx, np.array([1.0, 0.0]), 3, "image")
+    assert [r.id for r in got] == ["i0", "i1", "i2"]
+
+
+def test_a_block_whose_upper_bound_equals_the_floor_is_kept(small_blocks):
+    # with no block margin the two blocks of e1 rows have lower = upper = L = 1 for the query
+    # e1; they hold its top-k and must stay, while the three blocks of e2 rows are dropped
+    rows = [[1.0, 0.0]] * 32 + [[0.0, 1.0]] * 48
+    idx = build_index([(f"i{j:02d}", "image", row) for j, row in enumerate(rows)])
+    kept = []
+
+    def kept_rows(*args):
+        kept.append(real_kept_rows(*args))
+        return kept[-1]
+
+    real_kept_rows = retrieval._kept_rows
+    with mock.patch.object(retrieval, "_block_margin", lambda d, widths, q_norms: np.zeros((len(q_norms), len(widths)))), \
+         mock.patch.object(retrieval, "_kept_rows", kept_rows):
+        got = query_topk(idx, np.array([1.0, 0.0]), 20, "image")
+    assert kept[0].tolist() == list(range(32))
+    assert [r.id for r in got] == [f"i{j:02d}" for j in range(20)]
+
+
+def test_ceil32_leaves_a_float32_value_as_it_is():
+    values = np.array([0.5, -1.0, 1.0, 2.0**-149, -(2.0**-126), float(np.float32(0.1)), float(np.finfo(np.float32).max)])
+    assert retrieval._ceil32(values).tobytes() == values.astype(np.float32).tobytes()
+    above = np.nextafter(values[:-1], np.inf)  # just above each: the next float32 up
+    assert (retrieval._ceil32(above) == np.nextafter(values[:-1].astype(np.float32), np.float32(np.inf))).all()
 
 
 def test_batched_topk_on_a_modality_with_no_entries():
