@@ -216,7 +216,8 @@ def _cmd_eval(args) -> int:
     reports = {}
     for direction in directions:
         queries = text_records if direction == TXT2IMG else image_records
-        if DIRECTION_SIDES[direction][1] not in index.modalities:
+        lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
+        if lo == hi:  # the rule evaluate_retrieval applies, with the file named
             raise DataError(f"{args.index}: index has no candidates for direction {direction}")
         with _projecting_through(args.model):
             reports[direction] = evaluate_retrieval(

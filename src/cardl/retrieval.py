@@ -13,8 +13,9 @@ reach the top-k:
 
 0. Blocks: `UnifiedIndex` cuts each modality's rows, in id order, into
    blocks of BOUND_BLOCK_ROWS, the last also holding the remainder.  A
-   block's centre c is its middle row as stored in `vectors32`, so
-   ||c|| <= C = (1 + u) * N, with u as in step 2 and N the largest row norm.
+   block's centre c is its row at offset BOUND_BLOCK_ROWS // 2 as stored
+   in `vectors32`, so ||c|| <= C = (1 + u) * N, with u as in step 2 and N
+   the largest row norm.
    Its radius rho bounds ||x - c|| for each of its float64 rows x:
    ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 is at most
    N^2 - 2 * min fl32(x.c) + C^2 plus what rounding can hide, which is
@@ -51,12 +52,12 @@ reach the top-k:
    modality of fewer than BOUND_MIN_ROWS rows, whose whole screen costs
    about what the bound's bookkeeping does.  Steps 1-3 screen the
    modality's row span then, and also for a block of more than
-   BOUND_MAX_QUERIES queries, whose kept rows are most of the span, or
-   where more than half the blocks stay: gathering what they keep would
-   cost more than screening the span.  The gain needs the rows of a block
-   to lie near one another, as in the benchmark's synthetic corpora, whose
-   ids run cluster by cluster: with k = 10 a single query reads 4.8% of the
-   `query_stream` rows and 10.2% of the `eval_batch` ones.  Where blocks
+   BOUND_MAX_QUERIES queries: the union of what 25 `eval_batch` queries
+   keep is most of the span, and gathering it would cost more than
+   screening the span.  The gain needs the rows of a block to lie near one
+   another, as in the benchmark's synthetic corpora, whose ids run cluster
+   by cluster: with k = 10 a single query reads 4.8% of the `query_stream`
+   rows and 10.2% of the `eval_batch` ones.  Where blocks
    are kept, their centres cost a screen of 1/BOUND_BLOCK_ROWS of the rows'
    bytes and bookkeeping on one score per block; where none are kept (the
    trained `cli_pipeline` index, random unit rows), nothing.
@@ -229,20 +230,19 @@ class UnifiedIndex:
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
         if off.size:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
-        spans = {}
+        max_norm = float(norms.max(initial=0.0))
+        vectors32 = self.vectors.astype(np.float32)
+        vectors32.setflags(write=False)
+        spans, blocks = {}, {}
         for modality, mask in masks.items():
             rows = np.flatnonzero(mask)
             lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
             spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
+            blocks[modality] = _bound_blocks(vectors32, max_norm, rows)
         object.__setattr__(self, "spans", spans)
-        object.__setattr__(self, "max_norm", float(norms.max(initial=0.0)))
-        vectors32 = self.vectors.astype(np.float32)
-        vectors32.setflags(write=False)
+        object.__setattr__(self, "max_norm", max_norm)
         object.__setattr__(self, "vectors32", vectors32)
-        object.__setattr__(self, "blocks", {
-            modality: _bound_blocks(vectors32, self.max_norm, np.flatnonzero(mask))
-            for modality, mask in masks.items()
-        })
+        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -259,21 +259,21 @@ def _bound_blocks(vectors32: np.ndarray, max_norm: float, rows: np.ndarray) -> B
     if n < max(BOUND_MIN_ROWS, size):
         return None
     x = vectors32[int(rows[0]):int(rows[-1]) + 1] if rows[-1] - rows[0] == n - 1 else vectors32[rows]
-    cut = n - n % size - size  # the last block also holds the remainder
-    starts = np.arange(0, cut + 1, size)
-    centres = np.take(x, (starts + np.append(starts[1:], n)) // 2, axis=0)  # each block's middle row
-    parts = [x[:cut].reshape(cut // size, size, d), x[None, cut:]]
+    whole = n - n % size  # the last block also holds the n % size rows after it
+    blocks = x[:whole].reshape(-1, size, d)
+    centres = blocks[:, size // 2]  # each block's row at offset size // 2
     # each block's least x.c: one stacked GEMV, then a minimum over the block's rows, laid out
     # as (rows, blocks) since numpy reduces a short last axis one row at a time
-    lowest = np.concatenate([(part @ c[:, :, None])[:, :, 0].T.copy().min(axis=0)
-                             for part, c in zip(parts, (centres[:-1], centres[-1:]))])
+    lowest = (blocks @ centres[:, :, None])[:, :, 0].T.copy().min(axis=0)
+    if whole < n:
+        lowest[-1] = min(lowest[-1], (x[whole:] @ centres[-1]).min())
     centre_norm = (1 + _F32_ROUNDOFF) * max_norm  # at least ||c||: c is a row rounded to float32
     spread = max_norm**2 - 2 * lowest.astype(np.float64) + centre_norm**2
     slack = (2 * _screen_relative_error(d) + _gamma(d + 8, _F64_ROUNDOFF)) * (max_norm + centre_norm) ** 2
     radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * _F32_UNDERFLOW)
     if radii.min() >= centre_norm:  # no block can ever be dropped
         return None
-    return BoundBlocks(rows, centres, radii, _block_widths(d, max_norm, centre_norm, radii))
+    return BoundBlocks(rows, centres.copy(), radii, _block_widths(d, max_norm, centre_norm, radii))
 
 
 def build_index(items) -> UnifiedIndex:
@@ -419,8 +419,6 @@ def _kept_rows(
     best = np.partition(centre - margin, -need, axis=1)[:, -need]
     floors = np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
     keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
-    if 2 * len(keep) > len(blocks.centres):  # gathering most of the span costs more than screening it
-        return None
     offsets = (keep[:, None] * size + np.arange(size)).ravel()
     if keep[-1] == len(blocks.centres) - 1:  # the last block also holds the remainder
         offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(blocks.rows)))

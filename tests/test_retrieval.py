@@ -523,11 +523,13 @@ def test_margins_are_at_least_their_closed_forms(d):
 def test_block_radii_bound_every_float64_row(spread, small_blocks):
     """rho >= ||x - c|| in exact arithmetic, for the float64 rows of each block,
     with rows that repeat one direction, differ in their last bits or spread out,
-    a remainder for the last block, and rows of the other modality between them."""
+    a remainder for the last block whose last row is opposite the others, and
+    rows of the other modality between them."""
     rng = np.random.default_rng(3)
     base = rng.normal(size=8)
     rows = base + spread * rng.normal(size=(53, 8))
     rows[::7] = base * 2.0  # exact repeats of one direction
+    rows[-1] = -base  # the furthest row of the last block lies in its remainder
     items = [(f"i{j:03d}", "image", row) for j, row in enumerate(rows)] + [("i010x", "text", -base)]
     index = build_index(items)
     blocks = index.blocks["image"]
