@@ -41,6 +41,7 @@ from .retrieval import UnifiedIndex, build_index
 FORMAT_VERSIONS = {"alignment_model": 2, "pair_head": 2, "unified_index": 2, "retrieval_report": 1}
 PAYLOAD_DTYPE = "<f8"
 EMPTY_PAYLOAD = {"dtype": PAYLOAD_DTYPE, "shape": [0]}  # a format-1 file has no payload
+HEADER_READ_BYTES = 1 << 16  # the first read of a versioned file's header line
 
 # Rows stacked per block: records per `project` call in `unified_records`, pairs
 # per draw in `generate_synthetic`.  Whole-modality stacks raised peak RSS.
@@ -104,9 +105,9 @@ def _read_doc(path: str | Path, kind: str, what: str) -> tuple[dict, np.ndarray]
     payload (empty for a format-1 kind), refusing any other file."""
     header = _header(kind)
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:
             try:
-                doc = json.loads(f.readline())
+                doc = json.loads(_read_line(f))
             except ValueError as exc:
                 raise DataError(f"{path}: not valid JSON: {exc}") from exc
             is_dict = isinstance(doc, dict)
@@ -131,6 +132,22 @@ def _read_doc(path: str | Path, kind: str, what: str) -> tuple[dict, np.ndarray]
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     return doc, payload
+
+
+def _read_line(f) -> bytes:
+    """The first line of an unbuffered binary file, with its line end if it
+    has one, leaving the file just after it.  Each read takes as much as the
+    line so far, at least HEADER_READ_BYTES: one read for a small header and
+    five for the 0.74 MB header of a 40,000-entry index, which a buffered
+    `readline` reads one file-system block (often 4 KiB) at a time."""
+    line = b""
+    while chunk := f.read(max(len(line), HEADER_READ_BYTES)):
+        end = chunk.find(b"\n")
+        if end >= 0:
+            f.seek(len(line) + end + 1)
+            return line + chunk[: end + 1]
+        line += chunk
+    return line
 
 
 # ---------------------------------------------------------------- features --
@@ -418,7 +435,7 @@ def load_index(path: str | Path) -> UnifiedIndex:
     `UnifiedIndex` checks the entries, and its errors gain the path."""
     doc, vectors = _read_doc(path, "unified_index", "index")
     ids, modalities = doc.get("ids"), doc.get("modalities")
-    if not all(isinstance(names, list) and set(map(type, names)) <= {str} for names in (ids, modalities)):
+    if not (_is_str_list(ids) and _is_str_list(modalities)):
         raise DataError(f"{path}: ids and modalities must be lists of strings")
     if not (vectors.ndim == 2 and vectors.shape[0] == len(ids) == len(modalities)):
         raise DataError(f"{path}: payload shape {list(vectors.shape)} does not match "
@@ -427,6 +444,14 @@ def load_index(path: str | Path) -> UnifiedIndex:
         return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=vectors)
     except CardlError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _is_str_list(value) -> bool:
+    """Whether a JSON value is a list of strings: `str.join` takes nothing else."""
+    try:
+        return isinstance(value, list) and isinstance("".join(value), str)
+    except TypeError:
+        return False
 
 
 # ------------------------------------------------------------------- report --
@@ -595,10 +620,10 @@ def generate_synthetic(
     pairs = [PairedExample(text_id=tid, image_id=iid) for tid, iid in zip(tids, iids)]
     group = per if config.same_cluster_relevant else 1  # pairs relevant to one another
     qrels: RelevanceJudgments = {}
-    for lo in range(0, total, group):
-        texts, images = tids[lo : lo + group], iids[lo : lo + group]
-        for tid, iid in zip(texts, images):
-            qrels[tid], qrels[iid] = set(images), set(texts)
+    for k, tid, iid in zip(range(total), tids, iids):
+        if k % group == 0:  # a group's first pair: the ids relevant to each of its pairs
+            texts, images = tids[k : k + group], iids[k : k + group]
+        qrels[tid], qrels[iid] = {*images}, {*texts}  # a fresh set per key
 
     return SyntheticDataset(
         config=config,

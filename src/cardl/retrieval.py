@@ -141,6 +141,11 @@ BOUND_BLOCK_ROWS = 16
 BOUND_MIN_ROWS = 4096
 BOUND_MAX_QUERIES = 8
 
+# Rows per chunk, a multiple of BOUND_BLOCK_ROWS, of the pass that derives an
+# index's norms, float32 copy and block minima: at d = 64, 512 KiB of float64
+# rows and their float32 copy, which the cache holds until the blocks' dots.
+INDEX_CHUNK_ROWS = 1024
+
 _F32_ROUNDOFF = 2.0**-24
 _F64_ROUNDOFF = 2.0**-53
 _F32_UNDERFLOW = 2.0**-150  # absolute rounding error of a float32 result below its smallest normal
@@ -196,7 +201,10 @@ class UnifiedIndex:
     construction for the search screen: it costs 4 bytes per coordinate in
     memory and is never serialized.  So is `blocks`, each modality's
     `BoundBlocks` or None: a centre per BOUND_BLOCK_ROWS rows and a row
-    index per row."""
+    index per row.  The row norms that the checks read, `vectors32` and each
+    block's least x.c come from one pass per modality over its rows, in
+    chunks of INDEX_CHUNK_ROWS; the checks run after it, in row order, and a
+    row they refuse makes the pass raise no floating-point warning."""
 
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
@@ -209,20 +217,31 @@ class UnifiedIndex:
     blocks: dict[str, BoundBlocks | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=object)
+        n = len(self.ids)
+        if len(self.modalities) != n or self.vectors.ndim != 2 or len(self.vectors) != n:
+            raise DimensionError(
+                f"{n} ids, {len(self.modalities)} modalities and vectors of shape {self.vectors.shape}")
+        ids = np.fromiter(self.ids, dtype=object, count=n)
         unsorted = np.flatnonzero(ids[:-1] >= ids[1:])
         if unsorted.size:
             prev, id_ = self.ids[unsorted[0]], self.ids[unsorted[0] + 1]
             problem = "duplicate id" if prev == id_ else "not in canonical (ascending id) order"
             raise DataError(f"entry {id_!r}: {problem}")
-        modalities = np.array(self.modalities, dtype=object)  # a str dtype would drop trailing NULs
+        modalities = np.fromiter(self.modalities, dtype=object, count=n)  # a str dtype would drop trailing NULs
         masks = {modality: modalities == modality for modality in MODALITIES}
         unknown = np.flatnonzero(~np.any(list(masks.values()), axis=0))
         if unknown.size:
             raise DataError(f"entry {self.ids[unknown[0]]!r}: unknown modality {self.modalities[unknown[0]]!r}")
         self.vectors.setflags(write=False)
-        with np.errstate(over="ignore"):  # a finite row whose norm overflows is only off the unit norm
-            norms = _dot_norms(self.vectors)
+        norms, vectors32 = np.empty(n), np.empty(self.vectors.shape, np.float32)
+        spans, rows, lowest = {}, {}, {}
+        # a row that overflows the cast or its norm, or holds NaN or +-inf, is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for modality, mask in masks.items():
+                rows[modality] = found = np.flatnonzero(mask)
+                lo, hi = (int(found[0]), int(found[-1]) + 1) if found.size else (0, 0)
+                spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
+                lowest[modality] = _row_pass(self.vectors, found, norms, vectors32)
         suspect = np.flatnonzero(~np.isfinite(norms))
         nonfinite = suspect[~np.isfinite(self.vectors[suspect]).all(axis=1)]
         if nonfinite.size:
@@ -231,14 +250,8 @@ class UnifiedIndex:
         if off.size:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
         max_norm = float(norms.max(initial=0.0))
-        vectors32 = self.vectors.astype(np.float32)
         vectors32.setflags(write=False)
-        spans, blocks = {}, {}
-        for modality, mask in masks.items():
-            rows = np.flatnonzero(mask)
-            lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-            spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
-            blocks[modality] = _bound_blocks(vectors32, max_norm, rows)
+        blocks = {m: _bound_blocks(vectors32, max_norm, rows[m], lowest[m]) for m in MODALITIES}
         object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "max_norm", max_norm)
         object.__setattr__(self, "vectors32", vectors32)
@@ -252,28 +265,53 @@ class UnifiedIndex:
         return None if len(self.ids) == 0 else self.vectors.shape[1]
 
 
-def _bound_blocks(vectors32: np.ndarray, max_norm: float, rows: np.ndarray) -> BoundBlocks | None:
-    """The `BoundBlocks` of the index rows `rows`, or None where they could
-    never drop a block (module docstring, step 0)."""
-    n, d, size = len(rows), vectors32.shape[1], BOUND_BLOCK_ROWS
-    if n < max(BOUND_MIN_ROWS, size):
-        return None
-    x = vectors32[int(rows[0]):int(rows[-1]) + 1] if rows[-1] - rows[0] == n - 1 else vectors32[rows]
+def _row_pass(
+    vectors: np.ndarray, rows: np.ndarray, norms: np.ndarray, vectors32: np.ndarray
+) -> np.ndarray | None:
+    """Write the norms and the float32 copy of the index rows `rows` into `norms`
+    and `vectors32`, and return each block's least x.c (module docstring, step 0)
+    where the rows take blocks, else None: one pass over the rows in chunks of
+    INDEX_CHUNK_ROWS, each block's dots taken while its chunk is in the cache."""
+    n, d, size = len(rows), vectors.shape[1], BOUND_BLOCK_ROWS
     whole = n - n % size  # the last block also holds the n % size rows after it
-    blocks = x[:whole].reshape(-1, size, d)
-    centres = blocks[:, size // 2]  # each block's row at offset size // 2
-    # each block's least x.c: one stacked GEMV, then a minimum over the block's rows, laid out
-    # as (rows, blocks) since numpy reduces a short last axis one row at a time
-    lowest = (blocks @ centres[:, :, None])[:, :, 0].T.copy().min(axis=0)
-    if whole < n:
-        lowest[-1] = min(lowest[-1], (x[whole:] @ centres[-1]).min())
+    lowest = np.empty(whole // size, np.float32) if n >= max(BOUND_MIN_ROWS, size) else None
+    contiguous = n > 0 and rows[-1] - rows[0] == n - 1
+    for start in range(0, whole or n, INDEX_CHUNK_ROWS):  # the last chunk takes the remainder
+        stop = start + INDEX_CHUNK_ROWS if start + INDEX_CHUNK_ROWS < whole else n
+        at = slice(rows[0] + start, rows[0] + stop) if contiguous else rows[start:stop]
+        x = vectors[at]
+        norms[at] = _dot_norms(x)
+        vectors32[at] = x
+        if lowest is None:
+            continue
+        x32 = vectors32[at]
+        blocks = x32[: min(stop, whole) - start].reshape(-1, size, d)
+        centres, first = blocks[:, size // 2], start // size  # each block's row at offset size // 2
+        # one stacked GEMV, then a minimum over each block's rows, laid out as (rows, blocks)
+        # since numpy reduces a short last axis one row at a time
+        lowest[first : first + len(blocks)] = (blocks @ centres[:, :, None])[:, :, 0].T.copy().min(axis=0)
+        if stop > whole:
+            lowest[-1] = min(lowest[-1], (x32[whole - start :] @ centres[-1]).min())
+    return lowest
+
+
+def _bound_blocks(
+    vectors32: np.ndarray, max_norm: float, rows: np.ndarray, lowest: np.ndarray | None
+) -> BoundBlocks | None:
+    """The `BoundBlocks` of the index rows `rows`, whose blocks' least x.c are
+    `lowest`, or None where they take no blocks or could never drop one
+    (module docstring, step 0)."""
+    if lowest is None:
+        return None
+    d, size = vectors32.shape[1], BOUND_BLOCK_ROWS
     centre_norm = (1 + _F32_ROUNDOFF) * max_norm  # at least ||c||: c is a row rounded to float32
     spread = max_norm**2 - 2 * lowest.astype(np.float64) + centre_norm**2
     slack = (2 * _screen_relative_error(d) + _gamma(d + 8, _F64_ROUNDOFF)) * (max_norm + centre_norm) ** 2
     radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * _F32_UNDERFLOW)
     if radii.min() >= centre_norm:  # no block can ever be dropped
         return None
-    return BoundBlocks(rows, centres.copy(), radii, _block_widths(d, max_norm, centre_norm, radii))
+    centres = vectors32[rows[size // 2 : len(lowest) * size : size]]
+    return BoundBlocks(rows, centres, radii, _block_widths(d, max_norm, centre_norm, radii))
 
 
 def build_index(items) -> UnifiedIndex:

@@ -561,6 +561,7 @@ def test_index_load_rejects_duplicate_ids_and_unknown_modalities_by_id(tmp_path)
     for field, value, message in (
         ("ids", "a", "'a': duplicate id"),
         ("modalities", "audio", "'b': unknown modality 'audio'"),
+        ("modalities", "image\0", "'b': unknown modality 'image\\\\x00'"),
     ):
         save_index(index, path)
         edit_file(path, value, header=[field, 1])
@@ -572,13 +573,43 @@ def test_index_load_rejects_duplicate_ids_and_unknown_modalities_by_id(tmp_path)
     (["ids", 1], 7),  # a non-string id
     (["ids"], "ab"),  # a string where the list of ids belongs
     (["modalities", 0], None),  # a null modality
-], ids=["non-string id", "ids as a string", "null modality"])
+    (["modalities"], "text"),  # a string where the list of modalities belongs
+    (["ids", 1], ["b"]),  # an id that is a list
+    (["ids", 0], True),
+    (["modalities"], True),
+    (["modalities", 1], {"image": "b"}),
+    (["ids"], {"a": 0, "b": 1}),
+], ids=["non-string id", "ids as a string", "null modality", "modalities as a string", "list id", "true id",
+        "modalities true", "dict modality", "ids as a dict"])
 def test_index_load_rejects_names_that_are_not_lists_of_strings(tmp_path, header, value):
     path = tmp_path / "i.json"
     save_index(build_index([("a", "text", np.array([1.0, 0.0])), ("b", "image", np.array([0.0, 1.0]))]), path)
     edit_file(path, value, header=header)
     with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: ids and modalities must be lists of strings$"):
         load_index(path)
+
+
+@pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 1000])
+@pytest.mark.parametrize("end", [b"\n", b""], ids=["line end", "no line end"])
+def test_read_line_reads_the_first_line_and_stops_after_it(tmp_path, monkeypatch, length, end):
+    """Lines ending before, on and after the ends of reads of 16, 16, 32, ... bytes."""
+    monkeypatch.setattr(dataio, "HEADER_READ_BYTES", 16)
+    line = bytes(range(97, 123)) * (length // 26) + bytes(range(97, 97 + length % 26)) + end
+    rest = b"\x00\n\x01" if end else b""
+    (tmp_path / "f").write_bytes(line + rest)
+    with open(tmp_path / "f", "rb", buffering=0) as f:
+        assert dataio._read_line(f) == line
+        assert f.read() == rest
+
+
+def test_index_with_a_header_of_several_reads_round_trips(tmp_path):
+    ids = [f"{'x' * 40}{k:05d}" for k in range(3000)]  # a header of about 170 KB: three reads
+    index = build_index([(id_, "text" if k % 3 else "image", [1.0, k]) for k, id_ in enumerate(ids)])
+    save_index(index, tmp_path / "i.json")
+    assert len((tmp_path / "i.json").read_bytes().partition(b"\n")[0]) > 2 * dataio.HEADER_READ_BYTES
+    back = load_index(tmp_path / "i.json")
+    assert (back.ids, back.modalities) == (index.ids, index.modalities)
+    assert back.vectors.tobytes() == index.vectors.tobytes()
 
 
 # ------------------------------------------------------------------ report --
@@ -770,6 +801,24 @@ def test_synthetic_same_cluster_relevance():
     )
     assert ds.qrels["t0000"] == {"i0000", "i0001", "i0002"}
     assert ds.qrels["i0005"] == {"t0003", "t0004", "t0005"}
+
+
+@pytest.mark.parametrize("same_cluster", [False, True])
+def test_synthetic_qrels_equal_the_grouped_loop(same_cluster):
+    """The qrels, their key order and a fresh set per key, against the loop
+    that sliced each relevance group and built each set with set()."""
+    config = SyntheticConfig(clusters=3, pairs_per_cluster=4, text_dim=6, image_dim=6, latent_dim=2,
+                             same_cluster_relevant=same_cluster)
+    ds = generate_synthetic(config)
+    tids, iids = [p.text_id for p in ds.pairs], [p.image_id for p in ds.pairs]
+    group = config.pairs_per_cluster if same_cluster else 1
+    expected = {}
+    for lo in range(0, len(tids), group):
+        texts, images = tids[lo : lo + group], iids[lo : lo + group]
+        for tid, iid in zip(texts, images):
+            expected[tid], expected[iid] = set(images), set(texts)
+    assert ds.qrels == expected and list(ds.qrels) == list(expected)
+    assert len({id(relevant) for relevant in ds.qrels.values()}) == len(ds.qrels)
 
 
 def test_synthetic_noise_free_recovery_is_exact():

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -562,6 +564,118 @@ def test_a_block_radius_covers_the_float32_dots_that_round_furthest_up(small_blo
     rho = Fraction(float(blocks.radii[0]))
     for x in index.vectors:
         assert rho**2 >= sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(x, c))
+
+
+def separate_derived_state(vectors, modalities):
+    """An index's derived state from one whole-array pass per quantity, as built
+    before the chunked pass: norms, float32 copy, max_norm, spans, and each
+    modality's blocks with centres, least x.c over each block (the remainder
+    against the last centre), radii and widths."""
+    size = retrieval.BOUND_BLOCK_ROWS
+    norms = np.sqrt(vectors[:, None, :] @ vectors[:, :, None]).reshape(len(vectors))
+    vectors32 = vectors.astype(np.float32)
+    max_norm = float(norms.max(initial=0.0))
+    spans, blocks = {}, {}
+    for modality in ("text", "image"):
+        mask = np.array([m == modality for m in modalities], dtype=bool)
+        rows = np.flatnonzero(mask)
+        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
+        blocks[modality] = None
+        n, d = len(rows), vectors.shape[1]
+        if n < max(retrieval.BOUND_MIN_ROWS, size):
+            continue
+        x = vectors32[rows]
+        whole = n - n % size
+        block_rows = x[:whole].reshape(-1, size, d)
+        centres = block_rows[:, size // 2]
+        lowest = (block_rows @ centres[:, :, None])[:, :, 0].T.copy().min(axis=0)
+        if whole < n:
+            lowest[-1] = min(lowest[-1], (x[whole:] @ centres[-1]).min())
+        centre_norm = (1 + 2.0**-24) * max_norm
+        spread = max_norm**2 - 2 * lowest.astype(np.float64) + centre_norm**2
+        slack = (2 * retrieval._screen_relative_error(d) + retrieval._gamma(d + 8, 2.0**-53)) * (max_norm + centre_norm) ** 2
+        radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * 2.0**-150)
+        if radii.min() < centre_norm:
+            widths = retrieval._block_widths(d, max_norm, centre_norm, radii)
+            blocks[modality] = retrieval.BoundBlocks(rows, centres.copy(), radii, widths)
+    return vectors32, max_norm, spans, blocks
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [("text", 5), ("image", 70)],  # the image span starts off a block and a chunk boundary, and straddles chunks
+        [("image", 69), ("text", 3)],  # 64 whole rows fill two chunks; the last chunk takes the 5-row remainder
+        [("image", 96)],  # whole chunks, no remainder
+        [("text", 20)],  # fewer rows than one chunk
+        [("image", 3)],  # fewer rows than one block
+        [("text", 7), ("image", 1), ("text", 30), ("image", 40), ("text", 2)],  # interleaved modalities
+        [],  # the empty index
+    ],
+    ids=["offset span", "remainder after whole chunks", "whole chunks", "under one chunk", "under one block",
+         "interleaved", "empty"],
+)
+def test_the_chunked_pass_equals_separate_passes(layout, small_blocks, monkeypatch):
+    """vectors32, max_norm, spans and every BoundBlocks field, bit for bit, with
+    chunks of two blocks, rows that keep their blocks, and rows in their last bits
+    off the unit norm."""
+    monkeypatch.setattr(retrieval, "INDEX_CHUNK_ROWS", 2 * retrieval.BOUND_BLOCK_ROWS)
+    rng = np.random.default_rng(len(layout))
+    modalities = [m for m, count in layout for _ in range(count)]
+    d = 8
+    rows = rng.normal(size=d) + 0.05 * rng.normal(size=(len(modalities), d))
+    vectors = rows / np.linalg.norm(rows, axis=1)[:, None]
+    index = UnifiedIndex(tuple(f"e{j:03d}" for j in range(len(modalities))), tuple(modalities), vectors)
+    vectors32, max_norm, spans, blocks = separate_derived_state(vectors, modalities)
+    assert index.vectors32.dtype == np.float32 and index.vectors32.tobytes() == vectors32.tobytes()
+    assert index.vectors32.shape == vectors32.shape
+    assert index.max_norm.hex() == max_norm.hex()
+    for modality in ("text", "image"):
+        (lo, hi, others), (ref_lo, ref_hi, ref_others) = index.spans[modality], spans[modality]
+        assert (lo, hi, others.tolist()) == (ref_lo, ref_hi, ref_others.tolist())
+        got, expected = index.blocks[modality], blocks[modality]
+        assert (got is None) == (expected is None)
+        if expected is not None:
+            for field_, a, b in zip(expected._fields, got, expected):
+                assert (field_, a.dtype, a.shape, a.tobytes()) == (field_, b.dtype, b.shape, b.tobytes())
+        # a modality of at least one block's rows keeps its blocks, so its minima are compared
+        assert (expected is not None) == (modalities.count(modality) >= retrieval.BOUND_BLOCK_ROWS)
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({40: 1e39}, NumericError, "entry 'e040': vector is not unit-norm"),  # overflows the float32 cast
+        ({40: 1e200}, NumericError, "entry 'e040': vector is not unit-norm"),  # its norm overflows
+        ({40: np.nan}, DataError, "entry 'e040': vector is not finite"),
+        ({40: -np.inf}, DataError, "entry 'e040': vector is not finite"),
+        ({24: 1e39, 56: 1e200}, NumericError, "entry 'e024': vector is not unit-norm"),
+        ({24: np.nan, 56: np.inf}, DataError, "entry 'e024': vector is not finite"),
+        ({24: 1e39, 56: np.nan}, DataError, "entry 'e056': vector is not finite"),  # the finiteness check comes first
+    ],
+    ids=["cast overflow", "norm overflow", "nan", "-inf", "two off the norm", "two non-finite", "off the norm, then nan"],
+)
+def test_refused_rows_raise_as_before_and_never_warn(bad, error, message, small_blocks, monkeypatch):
+    """A row that the pass casts, takes the norm of and dots with a block centre
+    before the checks refuse it: row 40 is the centre of the image side's second
+    block and lies in its second chunk."""
+    monkeypatch.setattr(retrieval, "INDEX_CHUNK_ROWS", retrieval.BOUND_BLOCK_ROWS)
+    vectors = np.tile(np.array([0.6, 0.8, 0.0]), (70, 1))
+    for row, value in bad.items():
+        vectors[row] = value
+    modalities = ("text",) * 16 + ("image",) * 54
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            UnifiedIndex(tuple(f"e{j:03d}" for j in range(70)), modalities, vectors)
+
+
+def test_an_index_of_mismatched_lengths_is_refused():
+    with pytest.raises(DimensionError, match="2 ids, 1 modalities and vectors of shape \\(2, 2\\)"):
+        UnifiedIndex(ids=("a", "b"), modalities=("text",), vectors=np.eye(2))
+    with pytest.raises(DimensionError, match="1 ids, 1 modalities and vectors of shape \\(2, 2\\)"):
+        UnifiedIndex(ids=("a",), modalities=("text",), vectors=np.eye(2))
 
 
 @pytest.mark.parametrize("spread, kept", [(58, True), (62, False)])
