@@ -51,16 +51,17 @@ reach the top-k:
    `UnifiedIndex.blocks` holds None for the modality, as it does for a
    modality of fewer than BOUND_MIN_ROWS rows, whose whole screen costs
    about what the bound's bookkeeping does.  Steps 1-3 screen the
-   modality's row span then, and also for a block of more than
-   BOUND_MAX_QUERIES queries: the union of what 25 `eval_batch` queries
-   keep is most of the span, and gathering it would cost more than
-   screening the span.  The gain needs the rows of a block to lie near one
-   another, as in the benchmark's synthetic corpora, whose ids run cluster
-   by cluster: with k = 10 a single query reads 4.8% of the `query_stream`
-   rows and 10.2% of the `eval_batch` ones.  Where blocks
-   are kept, their centres cost a screen of 1/BOUND_BLOCK_ROWS of the rows'
-   bytes and bookkeeping on one score per block; where none are kept (the
-   trained `cli_pipeline` index, random unit rows), nothing.
+   modality's row span then, and also where a block of queries keeps more
+   than 3/4 of the blocks, since gathering that many rows costs more than
+   screening the span.  The gain needs the rows, and the queries, of a
+   block to lie near one another, as in the benchmark's synthetic corpora,
+   whose ids run cluster by cluster: with k = 10 one query keeps 4.8% of
+   the `query_stream` rows and 10.2% of the `eval_batch` ones, and 25
+   `evaluate_retrieval` queries, which run in id order, 24-43%, against a
+   median of 76% for 25 random queries and 95% for 52.  The centres cost a
+   screen of 1/BOUND_BLOCK_ROWS of the rows' bytes and bookkeeping on one
+   score per query and block; an index without blocks (the trained
+   `cli_pipeline` one, random unit rows) pays nothing.
 1. Screen: one float32 BLAS product scores the rows for the whole block
    against `UnifiedIndex.vectors32`, the float32 copy of the index; rows of
    the other modality inside a span, if any, are set to -inf.  The screen
@@ -133,13 +134,10 @@ DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 # searched at once.
 SCORE_BLOCK_BYTES = 2 << 20
 
-# Rows of one modality, in id order, that share one centre and radius; the
-# fewest rows a modality needs for blocks, below which a single query's screen
-# costs no more than their bookkeeping; and the most queries a block of
-# queries may hold to be screened by them (step 0).
+# Rows of one modality, in id order, that share a centre and radius, and the fewest rows a
+# modality needs for blocks, below which one query's screen costs no more than their bookkeeping.
 BOUND_BLOCK_ROWS = 16
 BOUND_MIN_ROWS = 4096
-BOUND_MAX_QUERIES = 8
 
 # Rows per chunk, a multiple of BOUND_BLOCK_ROWS, of the pass that derives an
 # index's norms, float32 copy and block minima: at d = 64, 512 KiB of float64
@@ -183,7 +181,7 @@ class BoundBlocks(NamedTuple):
     (module docstring, step 0)."""
 
     rows: np.ndarray  # the modality's index rows, ascending
-    centres: np.ndarray  # c, (blocks, dimension) float32
+    centres: np.ndarray  # c, (blocks, dimension) float32 in F order, so that the screen's centres.T is C-contiguous
     radii: np.ndarray  # rho >= ||x - c|| for every row x of the block
     widths: np.ndarray  # W: the block's margin M is ||q|| * W + 4 * d * 2^-150
 
@@ -310,7 +308,7 @@ def _bound_blocks(
     radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * _F32_UNDERFLOW)
     if radii.min() >= centre_norm:  # no block can ever be dropped
         return None
-    centres = vectors32[rows[size // 2 : len(lowest) * size : size]]
+    centres = np.asfortranarray(vectors32[rows[size // 2 : len(lowest) * size : size]])
     return BoundBlocks(rows, centres, radii, _block_widths(d, max_norm, centre_norm, radii))
 
 
@@ -445,18 +443,20 @@ def _band_floors(index: UnifiedIndex, q_norms: np.ndarray, kth: np.ndarray) -> n
 def _kept_rows(
     index: UnifiedIndex, unit32: np.ndarray, q_norms: np.ndarray, kk: int, filter_modality: str
 ) -> np.ndarray | None:
-    """The rows, ascending, of every block whose upper bound reaches some
-    query's floor L (module docstring, step 0), or None to keep them all."""
+    """The rows, ascending, of every block whose upper bound reaches some query's floor L (module
+    docstring, step 0), or None to screen the span: where there are no blocks or over 3/4 of them stay."""
     blocks, size = index.blocks[filter_modality], BOUND_BLOCK_ROWS
     need = -(-kk // size)  # `need` blocks of at least `size` rows hold kk rows
-    if blocks is None or len(unit32) > BOUND_MAX_QUERIES or need > len(blocks.centres):
+    if blocks is None or need > len(blocks.centres):
         return None
     centre = unit32 @ blocks.centres.T
     margin = _block_margin(index.dimension, blocks.widths, q_norms)
     # the need-th best lower bound; L is it clipped to [-1, 1], and at -1 every block stays
-    best = np.partition(centre - margin, -need, axis=1)[:, -need]
+    best = (centre - margin).max(axis=1) if need == 1 else np.partition(centre - margin, -need, axis=1)[:, -need]
     floors = np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
     keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
+    if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the span
+        return None
     offsets = (keep[:, None] * size + np.arange(size)).ravel()
     if keep[-1] == len(blocks.centres) - 1:  # the last block also holds the remainder
         offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(blocks.rows)))

@@ -738,6 +738,28 @@ def test_payload_shape_numpy_cannot_make_is_a_data_error(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize("name", ["index", "model", "pair_head"])
+@pytest.mark.parametrize("shape", [None, 5, "", "[1, 2]", ["2"]])
+def test_a_payload_shape_that_is_not_a_list_of_sizes_is_a_data_error(tmp_path, name, shape):
+    path = _write_each_format(tmp_path)[name]
+    edit_file(path, shape, header=["payload", "shape"])
+    found = re.escape(repr({"dtype": "<f8", "shape": shape}))
+    with pytest.raises(DataError, match=rf"{name}\.json: payload must be {{'dtype': '<f8', 'shape': \[sizes\]}}, found {found}$"):
+        LOADERS[name][0](path)
+
+
+@pytest.mark.parametrize("name, field, head", [
+    ("model", "text_head", "text_head"), ("model", "image_head", "image_head"), ("pair_head", "mlp", "pair head"),
+])
+@pytest.mark.parametrize("shapes", [None, 5, [], [[4, 6, 1]], [[2, 2], 5], [[2, 0]]])
+def test_layer_shapes_that_are_not_out_in_pairs_are_data_errors_naming_the_head(tmp_path, name, field, head, shapes):
+    path = _write_each_format(tmp_path)[name]
+    edit_file(path, shapes, header=[field])
+    found = re.escape(repr(shapes))
+    with pytest.raises(DataError, match=rf"{name}\.json: {head}: expected a nonempty list of \[out, in\] layer shapes, found {found}$"):
+        LOADERS[name][0](path)
+
+
 def test_report_with_trailing_bytes_is_a_data_error(tmp_path):
     path = _write_each_format(tmp_path)["report"]
     path.write_bytes(path.read_bytes() + b"{}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cardl import retrieval
 from cardl.alignment import linear_model, random_projection_model
-from cardl.dataio import SyntheticConfig, generate_synthetic, unified_records
+from cardl.dataio import SyntheticConfig, generate_synthetic, oracle_model, unified_records
 from cardl.errors import DataError, NumericError, UsageError
 from cardl.evaluation import (
     AP_CONVENTION,
@@ -260,6 +260,33 @@ def test_evaluate_equals_per_query_cross_media_search(direction):
         flags = [r.id in relevant for r in results]
         for k in k_list:
             assert rep.ap_per_query[k][record.id].hex() == ap_loop(flags[:k], len(relevant)).hex()
+
+
+@pytest.mark.parametrize("direction", ["txt2img", "img2txt"])
+def test_evaluate_on_a_blocked_index_equals_per_query_cross_media_search(direction, monkeypatch):
+    # ids run cluster by cluster, so blocks of 12 queries in id order keep the blocks of
+    # one or two of the 10 clusters and screen the rows they gather
+    monkeypatch.setattr(retrieval, "BOUND_MIN_ROWS", retrieval.BOUND_BLOCK_ROWS)
+    ds = generate_synthetic(SyntheticConfig(clusters=10, pairs_per_cluster=48, text_dim=12, image_dim=16,
+                                            latent_dim=8, seed=4))
+    model = oracle_model(ds)
+    index = build_index(unified_records(model, ds.text_records + ds.image_records))
+    queries = ds.text_records if direction == "txt2img" else ds.image_records
+    lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
+    real_kept_rows, kept = retrieval._kept_rows, []
+
+    def kept_rows(*args):
+        kept.append(real_kept_rows(*args))
+        return kept[-1]
+
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * (hi - lo) * 12), \
+         mock.patch.object(retrieval, "_kept_rows", kept_rows):
+        rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=(1, 5, 10), direction=direction)
+    assert len(kept) == len(queries) // 12 and all(rows is not None and len(rows) < (hi - lo) // 2 for rows in kept)
+    for record in queries:
+        flags = [r.id in ds.qrels[record.id] for r in cross_media_search(model, index, record, 10, direction)]
+        for k in (1, 5, 10):
+            assert rep.ap_per_query[k][record.id].hex() == ap_loop(flags[:k], len(ds.qrels[record.id])).hex()
 
 
 def test_a_projection_that_overflows_is_a_numeric_error_naming_the_record_with_no_warning():

@@ -696,23 +696,63 @@ def test_a_screen_equal_to_its_floor_stays_in_the_band():
     assert [r.id for r in got] == ["i0", "i1", "i2"]
 
 
-def test_a_block_whose_upper_bound_equals_the_floor_is_kept(small_blocks):
-    # with no block margin the two blocks of e1 rows have lower = upper = L = 1 for the query
-    # e1; they hold its top-k and must stay, while the three blocks of e2 rows are dropped
-    rows = [[1.0, 0.0]] * 32 + [[0.0, 1.0]] * 48
-    idx = build_index([(f"i{j:02d}", "image", row) for j, row in enumerate(rows)])
-    kept = []
+@pytest.fixture()
+def kept(monkeypatch):
+    """What `_kept_rows` returns for each block of queries searched, in order."""
+    real_kept_rows, kept = retrieval._kept_rows, []
 
     def kept_rows(*args):
         kept.append(real_kept_rows(*args))
         return kept[-1]
 
-    real_kept_rows = retrieval._kept_rows
-    with mock.patch.object(retrieval, "_block_margin", lambda d, widths, q_norms: np.zeros((len(q_norms), len(widths)))), \
-         mock.patch.object(retrieval, "_kept_rows", kept_rows):
+    monkeypatch.setattr(retrieval, "_kept_rows", kept_rows)
+    return kept
+
+
+def test_a_block_whose_upper_bound_equals_the_floor_is_kept(small_blocks, kept):
+    # with no block margin the two blocks of e1 rows have lower = upper = L = 1 for the query
+    # e1; they hold its top-k and must stay, while the three blocks of e2 rows are dropped
+    rows = [[1.0, 0.0]] * 32 + [[0.0, 1.0]] * 48
+    idx = build_index([(f"i{j:02d}", "image", row) for j, row in enumerate(rows)])
+    with mock.patch.object(retrieval, "_block_margin", lambda d, widths, q_norms: np.zeros((len(q_norms), len(widths)))):
         got = query_topk(idx, np.array([1.0, 0.0]), 20, "image")
     assert kept[0].tolist() == list(range(32))
     assert [r.id for r in got] == [f"i{j:02d}" for j in range(20)]
+
+
+def test_the_floor_is_the_need_th_best_lower_bound(small_blocks, kept):
+    # blocks of equal rows at 0, 0.5, 2 and 2.5 radians: the top 20 for e1 take the first block
+    # and 4 rows of the second, whose upper bound lies below the first block's lower bound
+    angles = np.repeat([0.0, 0.5, 2.0, 2.5], 16)
+    idx = build_index([(f"i{j:02d}", "image", [np.cos(a), np.sin(a)]) for j, a in enumerate(angles)])
+    got = query_topk(idx, np.array([1.0, 0.0]), 20, "image")
+    assert kept[0].tolist() == list(range(32))
+    assert [(r.rank, r.id, r.score.hex()) for r in got] == full_sort_hex(idx, [1.0, 0.0], "image")[:20]
+
+
+@pytest.mark.parametrize("k", [10, 40])
+def test_blocks_of_many_queries_take_the_bound_unless_they_keep_most_blocks(k, small_blocks, kept):
+    # 16 clusters of 64 rows in id order, 4 blocks each: queries from one or two clusters keep
+    # a few blocks, while one query per cluster keeps them all and screens the span
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(16), 64)
+    vectors = rng.normal(size=(16, 16))[labels] + 1e-3 * rng.normal(size=(len(labels), 16))
+    index = build_index([(f"i{j:04d}", "image", v) for j, v in enumerate(vectors)])
+    coherent = vectors[rng.choice(np.flatnonzero(labels == 3), 12)]
+    scattered = vectors[[rng.choice(np.flatnonzero(labels == c)) for c in range(16)]]
+    # 12 queries from cluster 3, then 8 from cluster 4: with 10 queries a score block,
+    # the second block straddles the two clusters
+    straddling = np.concatenate([coherent, vectors[rng.choice(np.flatnonzero(labels == 4), 8)]])
+    for queries, block in ((coherent, len(coherent)), (scattered, len(scattered)), (straddling, 10)):
+        kept.clear()
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * len(index) * block):
+            got = query_topk_batch(index, queries, k, "image")
+        for q, results in zip(queries, got):
+            assert [(r.rank, r.id, r.score.hex()) for r in results] == full_sort_hex(index, q, "image")[:k]
+        if queries is scattered:
+            assert kept == [None]
+        else:
+            assert len(kept) == len(queries) // block and all(0 < len(rows) < len(index) // 4 for rows in kept)
 
 
 def test_ceil32_leaves_a_float32_value_as_it_is():
