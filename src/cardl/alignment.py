@@ -100,7 +100,7 @@ class PairedExample:
     label: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class AlignmentModel:
     """The trained (or constructed) pair of projection heads plus temperature.
 

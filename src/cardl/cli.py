@@ -216,8 +216,7 @@ def _cmd_eval(args) -> int:
     reports = {}
     for direction in directions:
         queries = text_records if direction == TXT2IMG else image_records
-        lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
-        if lo == hi:  # the rule evaluate_retrieval applies, with the file named
+        if not len(index.sides[DIRECTION_SIDES[direction][1]].rows):  # evaluate_retrieval's rule, naming the file
             raise DataError(f"{args.index}: index has no candidates for direction {direction}")
         with _projecting_through(args.model):
             reports[direction] = evaluate_retrieval(

@@ -546,7 +546,7 @@ class SyntheticConfig:
             raise UsageError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SyntheticDataset:
     """Generated corpus plus the ground-truth maps that make it an oracle."""
 

@@ -25,7 +25,7 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, x)
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearLayer:
     """One affine layer.  weight has shape (out_dim, in_dim), bias (out_dim,)."""
 
@@ -52,7 +52,7 @@ class LinearLayer:
         return self.weight.shape[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
     """A rectifier MLP: ReLU after every layer except the last (linear) one.
 
@@ -64,7 +64,7 @@ class MlpParams:
     """
 
     layers: list[LinearLayer]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -250,7 +250,7 @@ class AdamConfig:
     epsilon: float = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """Moment estimates laid out like MlpParams.flat, plus the step count."""
 
@@ -258,7 +258,7 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     # a work vector of the same size, reused by every step
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.scratch = np.empty_like(self.first_moment)

@@ -34,7 +34,7 @@ def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([x, y, np.abs(x - y), np.maximum(x, y)], axis=-1)
 
 
-@dataclass
+@dataclass(eq=False)
 class PairExample:
     x: np.ndarray
     y: np.ndarray
@@ -49,7 +49,7 @@ class PairExample:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class PairHead:
     """Sigmoid-output MLP over the 4d joint feature."""
 

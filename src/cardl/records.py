@@ -14,7 +14,7 @@ IMAGE = "image"
 MODALITIES = (TEXT, IMAGE)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureRecord:
     """A raw (or unified) feature vector produced by an external encoder.
 

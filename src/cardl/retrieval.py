@@ -6,16 +6,18 @@ ties broken by ascending id.  Results equal a brute-force reference (one
 float64 `np.dot` per candidate, clipped to [-1, 1], then a full sort) in
 ids, tie order and score bits.
 
-One kernel, `query_topk_batch`, answers a block of queries in four steps:
-the "score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
+A search reads one side of the index, `UnifiedIndex.sides[modality]`: the
+modality's rows in id order, their float32 copy and their blocks.  One
+kernel, `_topk_arrays`, answers a block of queries in four steps: the
+"score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
 made exact by a rounding bound, after a ball bound drops rows that cannot
 reach the top-k:
 
-0. Blocks: `UnifiedIndex` cuts each modality's rows, in id order, into
+0. Blocks: `UnifiedIndex` cuts each side's rows, in id order, into
    blocks of BOUND_BLOCK_ROWS, the last also holding the remainder.  A
    block's centre c is its row at offset BOUND_BLOCK_ROWS // 2 as stored
-   in `vectors32`, so ||c|| <= C = (1 + u) * N, with u as in step 2 and N
-   the largest row norm.
+   in the side's float32 copy, so ||c|| <= C = (1 + u) * N, with u as in
+   step 2 and N the largest row norm.
    Its radius rho bounds ||x - c|| for each of its float64 rows x:
    ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 is at most
    N^2 - 2 * min fl32(x.c) + C^2 plus what rounding can hide, which is
@@ -43,28 +45,28 @@ reach the top-k:
    min(l, 1), l being the need-th largest s - M, and keeps every block
    where l <= -1: the same test, with no clip of the (queries, blocks)
    bounds.  Steps 1-3 then run on the rows of the kept blocks, gathered in
-   id order; they hold every row scoring at least the k-th score, and at
-   least kk rows, which is all that the argument of step 2 needs.
+   id order from the side's float32 copy; they hold every row scoring at
+   least the k-th score, and at least kk rows, which is all that the
+   argument of step 2 needs.
    A drop needs hi_b < lo_b' for some blocks b and b', so rho_b + rho_b' <
    ||c_b|| + ||c_b'|| <= 2C.  Where every radius is at least C (rows with no
-   cluster structure in id order) no block could ever be dropped, and
-   `UnifiedIndex.blocks` holds None for the modality, as it does for a
-   modality of fewer than BOUND_MIN_ROWS rows, whose whole screen costs
-   about what the bound's bookkeeping does.  Steps 1-3 screen the
-   modality's row span then, and also where a block of queries keeps more
-   than 3/4 of the blocks, since gathering that many rows costs more than
-   screening the span.  The gain needs the rows, and the queries, of a
-   block to lie near one another, as in the benchmark's synthetic corpora,
-   whose ids run cluster by cluster: with k = 10 one query keeps 4.8% of
-   the `query_stream` rows and 10.2% of the `eval_batch` ones, and 25
-   `evaluate_retrieval` queries, which run in id order, 24-43%, against a
-   median of 76% for 25 random queries and 95% for 52.  The centres cost a
-   screen of 1/BOUND_BLOCK_ROWS of the rows' bytes and bookkeeping on one
-   score per query and block; an index without blocks (the trained
-   `cli_pipeline` one, random unit rows) pays nothing.
+   cluster structure in id order) no block could ever be dropped, and the
+   side's `blocks` is None, as it is for a side of fewer than
+   BOUND_MIN_ROWS rows, whose whole screen costs about what the bound's
+   bookkeeping does.  Steps 1-3 screen the whole side then, and also where
+   a block of queries keeps more than 3/4 of the blocks, since gathering
+   that many rows costs more than screening the side.  The gain needs the
+   rows, and the queries, of a block to lie near one another, as in the
+   benchmark's synthetic corpora, whose ids run cluster by cluster: with
+   k = 10 one query keeps 4.8% of the `query_stream` rows and 10.2% of the
+   `eval_batch` ones, and 25 `evaluate_retrieval` queries, which run in id
+   order, 24-43%, against a median of 76% for 25 random queries and 95%
+   for 52.  The centres cost a screen of 1/BOUND_BLOCK_ROWS of the rows'
+   bytes and bookkeeping on one score per query and block; an index
+   without blocks (the trained `cli_pipeline` one, random unit rows) pays
+   nothing.
 1. Screen: one float32 BLAS product scores the rows for the whole block
-   against `UnifiedIndex.vectors32`, the float32 copy of the index; rows of
-   the other modality inside a span, if any, are set to -inf.  The screen
+   against the side's float32 copy, or the kept rows of it.  The screen
    itself is not clipped.
 2. Band: a partition finds each query's k-th largest screened score, and
    only that score is clipped to [-1, 1], giving t; clipping is monotone,
@@ -97,8 +99,9 @@ reach the top-k:
    where the floor is above -1, a screen is at least the floor exactly
    when its clipped value is.
 3. Re-score and order: one `np.flatnonzero` over the block's band mask,
-   split by `divmod` into (query, row) pairs, finds every band row of the
-   block, query by query and by ascending id within a query.  They are
+   split by `divmod` into (query, offset) pairs whose offsets the side's
+   `rows` map back to index rows, finds every band row of the block, query
+   by query and by ascending id within a query.  They are
    scored again in float64 with one stacked dot per band row
    (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
    bits of the reference's `np.dot(row, q)`) and clipped.  One stable
@@ -107,8 +110,8 @@ reach the top-k:
    fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
    run starts, gives the results as (queries, kk) arrays of rows and scores.
 
-`query_topk_batch` wraps them into `RetrievalResult` lists, and `query_topk`
-is its single-row case; `evaluate_retrieval` scores AP from the arrays.
+`query_topk` wraps the single-row case into a `RetrievalResult` list;
+`evaluate_retrieval` scores AP from the arrays.
 """
 
 from __future__ import annotations
@@ -129,7 +132,7 @@ DIRECTIONS = (TXT2IMG, IMG2TXT)
 # direction -> (query modality, result modality)
 DIRECTION_SIDES = {TXT2IMG: (TEXT, IMAGE), IMG2TXT: (IMAGE, TEXT)}
 
-# Cap on one block's screened score matrix (queries x span rows, counted at
+# Cap on one block's screened score matrix (queries x side rows, counted at
 # 8 bytes a score), so that memory does not grow with the number of queries
 # searched at once.
 SCORE_BLOCK_BYTES = 2 << 20
@@ -176,17 +179,23 @@ class RetrievalResult:
 
 
 class BoundBlocks(NamedTuple):
-    """One modality's rows, in id order, cut into blocks of BOUND_BLOCK_ROWS
-    (the last also holds the remainder), with each block's centre and radius
-    (module docstring, step 0)."""
+    """A side's rows cut into blocks of BOUND_BLOCK_ROWS (the last also holds
+    the remainder), with each block's centre and radius (module docstring, step 0)."""
 
-    rows: np.ndarray  # the modality's index rows, ascending
     centres: np.ndarray  # c, (blocks, dimension) float32 in F order, so that the screen's centres.T is C-contiguous
     radii: np.ndarray  # rho >= ||x - c|| for every row x of the block
     widths: np.ndarray  # W: the block's margin M is ||q|| * W + 4 * d * 2^-150
 
 
-@dataclass(frozen=True)
+class Side(NamedTuple):
+    """The rows of one modality, all that a search of it reads."""
+
+    rows: np.ndarray  # the modality's index rows, ascending
+    vectors32: np.ndarray  # read-only float32 copy of those rows, in that order
+    blocks: BoundBlocks | None
+
+
+@dataclass(frozen=True, eq=False)
 class UnifiedIndex:
     """Unit-norm vectors in canonical (ascending id) order; immutable.
 
@@ -195,24 +204,20 @@ class UnifiedIndex:
     is off 1 by more than 1e-9, a finite row whose norm overflows included
     (NumericError), however the index was made.
 
-    `vectors32` is a read-only float32 copy of `vectors` derived at
-    construction for the search screen: it costs 4 bytes per coordinate in
-    memory and is never serialized.  So is `blocks`, each modality's
-    `BoundBlocks` or None: a centre per BOUND_BLOCK_ROWS rows and a row
-    index per row.  The row norms that the checks read, `vectors32` and each
-    block's least x.c come from one pass per modality over its rows, in
-    chunks of INDEX_CHUNK_ROWS; the checks run after it, in row order, and a
-    row they refuse makes the pass raise no floating-point warning."""
+    `sides` maps each modality to the `Side` that a search of it reads,
+    derived at construction and never serialized: its index rows, their
+    float32 copy for the screen (4 bytes per coordinate in memory) and its
+    `BoundBlocks` or None (a centre per BOUND_BLOCK_ROWS rows).  The row
+    norms that the checks read, each side's float32 rows and each block's
+    least x.c come from one pass per side over its rows, in chunks of
+    INDEX_CHUNK_ROWS; the checks run after it, in row order, and a row they
+    refuse makes the pass raise no floating-point warning."""
 
     ids: tuple[str, ...]
     modalities: tuple[str, ...]
     vectors: np.ndarray  # shape (len(ids), dimension), rows unit-norm
-    # modality -> (lo, hi, offsets in [0, hi - lo) of the other modality's
-    # rows): the row span a search of that modality screens
-    spans: dict[str, tuple[int, int, np.ndarray]] = field(init=False, repr=False, compare=False)
-    max_norm: float = field(init=False, repr=False, compare=False)
-    vectors32: np.ndarray = field(init=False, repr=False, compare=False)
-    blocks: dict[str, BoundBlocks | None] = field(init=False, repr=False, compare=False)
+    sides: dict[str, Side] = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -231,15 +236,10 @@ class UnifiedIndex:
         if unknown.size:
             raise DataError(f"entry {self.ids[unknown[0]]!r}: unknown modality {self.modalities[unknown[0]]!r}")
         self.vectors.setflags(write=False)
-        norms, vectors32 = np.empty(n), np.empty(self.vectors.shape, np.float32)
-        spans, rows, lowest = {}, {}, {}
+        norms, rows = np.empty(n), {m: np.flatnonzero(mask) for m, mask in masks.items()}
         # a row that overflows the cast or its norm, or holds NaN or +-inf, is refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            for modality, mask in masks.items():
-                rows[modality] = found = np.flatnonzero(mask)
-                lo, hi = (int(found[0]), int(found[-1]) + 1) if found.size else (0, 0)
-                spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
-                lowest[modality] = _row_pass(self.vectors, found, norms, vectors32)
+            passes = {m: _row_pass(self.vectors, rows[m], norms) for m in MODALITIES}
         suspect = np.flatnonzero(~np.isfinite(norms))
         nonfinite = suspect[~np.isfinite(self.vectors[suspect]).all(axis=1)]
         if nonfinite.size:
@@ -248,12 +248,9 @@ class UnifiedIndex:
         if off.size:
             raise NumericError(f"entry {self.ids[int(off[0])]!r}: vector is not unit-norm")
         max_norm = float(norms.max(initial=0.0))
-        vectors32.setflags(write=False)
-        blocks = {m: _bound_blocks(vectors32, max_norm, rows[m], lowest[m]) for m in MODALITIES}
-        object.__setattr__(self, "spans", spans)
+        sides = {m: Side(rows[m], x32, _bound_blocks(x32, max_norm, lowest)) for m, (x32, lowest) in passes.items()}
+        object.__setattr__(self, "sides", sides)
         object.__setattr__(self, "max_norm", max_norm)
-        object.__setattr__(self, "vectors32", vectors32)
-        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -263,15 +260,14 @@ class UnifiedIndex:
         return None if len(self.ids) == 0 else self.vectors.shape[1]
 
 
-def _row_pass(
-    vectors: np.ndarray, rows: np.ndarray, norms: np.ndarray, vectors32: np.ndarray
-) -> np.ndarray | None:
-    """Write the norms and the float32 copy of the index rows `rows` into `norms`
-    and `vectors32`, and return each block's least x.c (module docstring, step 0)
+def _row_pass(vectors: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Write the norms of the index rows `rows` into `norms`, and return their
+    read-only float32 copy and each block's least x.c (module docstring, step 0)
     where the rows take blocks, else None: one pass over the rows in chunks of
     INDEX_CHUNK_ROWS, each block's dots taken while its chunk is in the cache."""
     n, d, size = len(rows), vectors.shape[1], BOUND_BLOCK_ROWS
     whole = n - n % size  # the last block also holds the n % size rows after it
+    side32 = np.empty((n, d), np.float32)
     lowest = np.empty(whole // size, np.float32) if n >= max(BOUND_MIN_ROWS, size) else None
     contiguous = n > 0 and rows[-1] - rows[0] == n - 1
     for start in range(0, whole or n, INDEX_CHUNK_ROWS):  # the last chunk takes the remainder
@@ -279,10 +275,10 @@ def _row_pass(
         at = slice(rows[0] + start, rows[0] + stop) if contiguous else rows[start:stop]
         x = vectors[at]
         norms[at] = _dot_norms(x)
-        vectors32[at] = x
+        side32[start:stop] = x
         if lowest is None:
             continue
-        x32 = vectors32[at]
+        x32 = side32[start:stop]
         blocks = x32[: min(stop, whole) - start].reshape(-1, size, d)
         centres, first = blocks[:, size // 2], start // size  # each block's row at offset size // 2
         # one stacked GEMV, then a minimum over each block's rows, laid out as (rows, blocks)
@@ -290,26 +286,26 @@ def _row_pass(
         lowest[first : first + len(blocks)] = (blocks @ centres[:, :, None])[:, :, 0].T.copy().min(axis=0)
         if stop > whole:
             lowest[-1] = min(lowest[-1], (x32[whole - start :] @ centres[-1]).min())
-    return lowest
+    side32.setflags(write=False)
+    return side32, lowest
 
 
-def _bound_blocks(
-    vectors32: np.ndarray, max_norm: float, rows: np.ndarray, lowest: np.ndarray | None
-) -> BoundBlocks | None:
-    """The `BoundBlocks` of the index rows `rows`, whose blocks' least x.c are
+def _bound_blocks(side32: np.ndarray, max_norm: float, lowest: np.ndarray | None) -> BoundBlocks | None:
+    """The `BoundBlocks` of a side's float32 rows, whose blocks' least x.c are
     `lowest`, or None where they take no blocks or could never drop one
     (module docstring, step 0)."""
     if lowest is None:
         return None
-    d, size = vectors32.shape[1], BOUND_BLOCK_ROWS
+    d, size = side32.shape[1], BOUND_BLOCK_ROWS
     centre_norm = (1 + _F32_ROUNDOFF) * max_norm  # at least ||c||: c is a row rounded to float32
     spread = max_norm**2 - 2 * lowest.astype(np.float64) + centre_norm**2
     slack = (2 * _screen_relative_error(d) + _gamma(d + 8, _F64_ROUNDOFF)) * (max_norm + centre_norm) ** 2
     radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * _F32_UNDERFLOW)
     if radii.min() >= centre_norm:  # no block can ever be dropped
         return None
-    centres = np.asfortranarray(vectors32[rows[size // 2 : len(lowest) * size : size]])
-    return BoundBlocks(rows, centres, radii, _block_widths(d, max_norm, centre_norm, radii))
+    # a gather, then F order: cheaper than the F-order copy of a strided slice
+    centres = np.asfortranarray(side32[np.arange(size // 2, len(lowest) * size, size)])
+    return BoundBlocks(centres, radii, _block_widths(d, max_norm, centre_norm, radii))
 
 
 def build_index(items) -> UnifiedIndex:
@@ -352,33 +348,25 @@ def query_topk(
     index: UnifiedIndex, q: np.ndarray, k: int, filter_modality: str
 ) -> list[RetrievalResult]:
     """Exact top-k among entries of one modality, ties broken by ascending id."""
-    return query_topk_batch(index, np.asarray(q, dtype=np.float64)[None], k, filter_modality)[0]
-
-
-def query_topk_batch(
-    index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
-) -> list[list[RetrievalResult]]:
-    """`query_topk` for every row of `queries`, screened in blocks of rows;
-    each row's results equal its single-row search."""
-    rows, scores = _topk_arrays(index, queries, k, filter_modality)
+    rows, scores = _topk_arrays(index, np.asarray(q, dtype=np.float64)[None], k, filter_modality)
     ids = index.ids
-    return [
-        [RetrievalResult(ids[row], score, rank) for rank, (row, score) in enumerate(zip(run, run_scores), start=1)]
-        for run, run_scores in zip(rows.tolist(), scores.tolist())
-    ]
+    return [RetrievalResult(ids[row], score, rank)
+            for rank, (row, score) in enumerate(zip(rows[0].tolist(), scores[0].tolist()), start=1)]
 
 
 def _topk_arrays(
     index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`query_topk_batch` as (queries, min(k, candidates)) arrays of index rows, best first, and scores."""
+    """`query_topk` for every row of `queries`, screened in blocks of rows, as (queries,
+    min(k, candidates)) arrays of index rows, best first, and scores; each row's results
+    equal its single-row search."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if filter_modality not in MODALITIES:
         raise UsageError(f"unknown modality filter {filter_modality!r}")
     queries = np.asarray(queries, dtype=np.float64)
-    lo, hi, others = index.spans[filter_modality]
-    kk = min(k, hi - lo - len(others))
+    side = index.sides[filter_modality]
+    kk = min(k, len(side.rows))
     rows, scores = np.zeros((len(queries), kk), dtype=np.intp), np.zeros((len(queries), kk))
     if len(index) == 0:
         return rows, scores
@@ -390,10 +378,10 @@ def _topk_arrays(
     if not finite.all():
         raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
     unit = l2_normalize(queries)
-    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, hi - lo)))
+    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(side.rows))))
     for start in range(0, len(unit) if kk else 0, block):  # kk == 0: no candidates, every run is empty
         block_rows = slice(start, start + block)
-        rows[block_rows], scores[block_rows] = _topk_block(index, unit[block_rows], kk, filter_modality)
+        rows[block_rows], scores[block_rows] = _topk_block(index, side, unit[block_rows], kk)
     return rows, scores
 
 
@@ -440,45 +428,37 @@ def _band_floors(index: UnifiedIndex, q_norms: np.ndarray, kth: np.ndarray) -> n
     return floors32
 
 
-def _kept_rows(
-    index: UnifiedIndex, unit32: np.ndarray, q_norms: np.ndarray, kk: int, filter_modality: str
-) -> np.ndarray | None:
-    """The rows, ascending, of every block whose upper bound reaches some query's floor L (module
-    docstring, step 0), or None to screen the span: where there are no blocks or over 3/4 of them stay."""
-    blocks, size = index.blocks[filter_modality], BOUND_BLOCK_ROWS
+def _kept_rows(side: Side, unit32: np.ndarray, q_norms: np.ndarray, kk: int) -> np.ndarray | None:
+    """The offsets into the side, ascending, of every block whose upper bound reaches some query's floor L
+    (module docstring, step 0), or None to screen the whole side: where there are no blocks or over 3/4
+    of them stay."""
+    blocks, size = side.blocks, BOUND_BLOCK_ROWS
     need = -(-kk // size)  # `need` blocks of at least `size` rows hold kk rows
     if blocks is None or need > len(blocks.centres):
         return None
     centre = unit32 @ blocks.centres.T
-    margin = _block_margin(index.dimension, blocks.widths, q_norms)
+    margin = _block_margin(unit32.shape[1], blocks.widths, q_norms)
     # the need-th best lower bound; L is it clipped to [-1, 1], and at -1 every block stays
     best = (centre - margin).max(axis=1) if need == 1 else np.partition(centre - margin, -need, axis=1)[:, -need]
     floors = np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
     keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
-    if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the span
+    if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the whole side
         return None
     offsets = (keep[:, None] * size + np.arange(size)).ravel()
     if keep[-1] == len(blocks.centres) - 1:  # the last block also holds the remainder
-        offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(blocks.rows)))
-    return blocks.rows[offsets]
+        offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(side.rows)))
+    return offsets
 
 
-def _topk_block(
-    index: UnifiedIndex, unit: np.ndarray, kk: int, filter_modality: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Screen, band and re-score one block of finite unit queries (module docstring) for their kk best."""
-    lo, hi, others = index.spans[filter_modality]
+def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Screen, band and re-score one block of finite unit queries against a side (module docstring)
+    for their kk best."""
     unit32, q_norms = unit.astype(np.float32), _dot_norms(unit)
-    kept = _kept_rows(index, unit32, q_norms, kk, filter_modality)
-    if kept is None:
-        screened = unit32 @ index.vectors32[lo:hi].T  # a view of the span: no copy
-        if len(others):
-            screened[:, others] = -np.inf
-    else:
-        screened = unit32 @ np.take(index.vectors32, kept, axis=0).T
+    kept = _kept_rows(side, unit32, q_norms, kk)
+    screened = unit32 @ (side.vectors32 if kept is None else np.take(side.vectors32, kept, axis=0)).T
     floors32 = _band_floors(index, q_norms, np.partition(screened, -kk, axis=1)[:, -kk])
     query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), screened.shape[1])
-    rows = lo + col if kept is None else kept[col]
+    rows = side.rows[col if kept is None else kept[col]]
     # the reference's np.dot per row, as one stacked product, then its clip
     scores = (index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
     # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order

@@ -244,10 +244,10 @@ def test_evaluate_equals_per_query_cross_media_search(direction):
     index = build_index(unified_records(model, ds.text_records + ds.image_records[:6]))
     queries = ds.text_records if direction == "txt2img" else ds.image_records
     k_list = (1, 5, 10)
-    lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
+    candidates = len(index.sides[DIRECTION_SIDES[direction][1]].rows)
     # a score block of 7 rows: 120 queries run as 17 full blocks and one short one;
     # and no result object is built on the way
-    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * (hi - lo) * 7), \
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * candidates * 7), \
          mock.patch.object(retrieval, "RetrievalResult", side_effect=AssertionError("a RetrievalResult")):
         rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=k_list, direction=direction)
         with pytest.raises(AssertionError, match="a RetrievalResult"):
@@ -272,17 +272,17 @@ def test_evaluate_on_a_blocked_index_equals_per_query_cross_media_search(directi
     model = oracle_model(ds)
     index = build_index(unified_records(model, ds.text_records + ds.image_records))
     queries = ds.text_records if direction == "txt2img" else ds.image_records
-    lo, hi, _ = index.spans[DIRECTION_SIDES[direction][1]]
+    candidates = len(index.sides[DIRECTION_SIDES[direction][1]].rows)
     real_kept_rows, kept = retrieval._kept_rows, []
 
     def kept_rows(*args):
         kept.append(real_kept_rows(*args))
         return kept[-1]
 
-    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * (hi - lo) * 12), \
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * candidates * 12), \
          mock.patch.object(retrieval, "_kept_rows", kept_rows):
         rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=(1, 5, 10), direction=direction)
-    assert len(kept) == len(queries) // 12 and all(rows is not None and len(rows) < (hi - lo) // 2 for rows in kept)
+    assert len(kept) == len(queries) // 12 and all(rows is not None and len(rows) < candidates // 2 for rows in kept)
     for record in queries:
         flags = [r.id in ds.qrels[record.id] for r in cross_media_search(model, index, record, 10, direction)]
         for k in (1, 5, 10):

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from cardl.alignment import linear_model
 from cardl.dataio import SyntheticConfig, generate_synthetic
 from cardl.errors import CardlError, DataError, DimensionError
+from cardl.nn import AdamState, LinearLayer, MlpParams
+from cardl.pairhead import PairExample, PairHead
 from cardl.records import IMAGE, MODALITIES, TEXT, FeatureRecord, opposite_modality
+from cardl.retrieval import build_index
 
 
 def test_modality_constants():
@@ -26,6 +30,29 @@ def test_feature_record_coerces_to_float64():
     r = FeatureRecord("a", "text", [1, 2, 3])
     assert r.vector.dtype == np.float64
     assert r.dim == 3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FeatureRecord("a", "text", [1.0, 2.0]),
+        lambda: linear_model(np.eye(2), np.eye(2)),
+        lambda: build_index([("a", "text", [1.0, 0.0]), ("b", "image", [0.0, 1.0])]),
+        lambda: LinearLayer(np.eye(2), np.zeros(2)),
+        lambda: MlpParams([LinearLayer(np.eye(2), np.zeros(2))]),
+        lambda: AdamState.zeros_like(MlpParams([LinearLayer(np.eye(2), np.zeros(2))])),
+        lambda: PairExample([1.0, 2.0], [2.0, 1.0], True),
+        lambda: PairHead(MlpParams([LinearLayer(np.ones((1, 4)), np.zeros(1))])),
+        lambda: generate_synthetic(SyntheticConfig(clusters=2, pairs_per_cluster=1, text_dim=2, image_dim=2,
+                                                   latent_dim=1)),
+    ],
+    ids=["FeatureRecord", "AlignmentModel", "UnifiedIndex", "LinearLayer", "MlpParams", "AdamState",
+         "PairExample", "PairHead", "SyntheticDataset"],
+)
+def test_objects_holding_arrays_compare_by_identity(make):
+    # equal-valued fields would make a field-wise == ask numpy for the truth of an array
+    a, b = make(), make()
+    assert a == a and a != b and b in [a, b]
 
 
 def test_feature_record_rejects_bad_input():

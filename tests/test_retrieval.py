@@ -23,7 +23,6 @@ from cardl.retrieval import (
     cross_media_search,
     l2_normalize,
     query_topk,
-    query_topk_batch,
 )
 
 
@@ -326,6 +325,15 @@ def full_sort_hex(index, q, modality):
     return [(rank, id_, score.hex()) for rank, (score, id_) in enumerate(scored, start=1)]
 
 
+def topk_hex(index, queries, k, modality):
+    """`_topk_arrays` for a block of queries, as one (rank, id, score hex) list per query."""
+    rows, scores = retrieval._topk_arrays(index, queries, k, modality)
+    return [
+        [(rank, index.ids[row], score.hex()) for rank, (row, score) in enumerate(zip(run, run_scores), start=1)]
+        for run, run_scores in zip(rows.tolist(), scores.tolist())
+    ]
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(2000, 2400),
@@ -432,16 +440,16 @@ def test_batched_topk_equals_per_row_full_sort(
     with mock.patch.object(retrieval, "BOUND_MIN_ROWS", retrieval.BOUND_BLOCK_ROWS):  # blocks for ~2,000 rows
         index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
     for modality in ("text", "image"):
-        lo, hi, _ = index.spans[modality]
+        candidates = len(index.sides[modality].rows)
         # shrink the score block so query blocks straddle the block boundary
-        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, hi - lo) * block_rows), \
+        with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, candidates) * block_rows), \
              mock.patch.object(retrieval, "_screen_margin", margin), mock.patch.object(retrieval, "_ceil32", ceil32), \
              mock.patch.object(retrieval, "_kept_rows", kept_rows):
-            batched = query_topk_batch(index, queries, k, modality)
+            batched = topk_hex(index, queries, k, modality)
         assert len(batched) == n_queries
         for q, got in zip(queries, batched):
             expected = full_sort_hex(index, q, modality)[:k]
-            assert [(r.rank, r.id, r.score.hex()) for r in got] == expected
+            assert got == expected
             single = query_topk(index, q, k, modality)
             assert [(r.rank, r.id, r.score.hex()) for r in single] == expected
     with pytest.raises(dataclasses.FrozenInstanceError):  # slots leave results frozen
@@ -454,8 +462,8 @@ def test_batched_topk_equals_per_row_full_sort(
         assert (values <= -1.0).any() and (values.astype(np.float32) < values).any()
     if hostile == "blocks" and dim > 1:  # some block of queries dropped rows
         assert any(rows is not None for rows in kept)
-    if hostile == "none" and dim > 1:  # no cluster structure: every search screened the whole span
-        assert all(rows is None for rows in kept) and all(blocks is None for blocks in index.blocks.values())
+    if hostile == "none" and dim > 1:  # no cluster structure: every search screened the whole side
+        assert all(rows is None for rows in kept) and all(side.blocks is None for side in index.sides.values())
 
 
 def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
@@ -481,7 +489,7 @@ def test_a_modality_of_fewer_than_bound_min_rows_keeps_no_blocks():
     rows = [[1.0, j / retrieval.BOUND_MIN_ROWS] for j in range(retrieval.BOUND_MIN_ROWS)]
     for n, kept in ((len(rows) - 1, False), (len(rows), True)):
         index = build_index([(f"i{j:05d}", "image", row) for j, row in enumerate(rows[:n])])
-        assert (index.blocks["image"] is not None) == kept
+        assert (index.sides["image"].blocks is not None) == kept
 
 
 def exact_gamma(n, v):
@@ -534,10 +542,11 @@ def test_block_radii_bound_every_float64_row(spread, small_blocks):
     rows[-1] = -base  # the furthest row of the last block lies in its remainder
     items = [(f"i{j:03d}", "image", row) for j, row in enumerate(rows)] + [("i010x", "text", -base)]
     index = build_index(items)
-    blocks = index.blocks["image"]
+    side = index.sides["image"]
+    blocks = side.blocks
     assert blocks is not None and len(blocks.centres) == 3  # 16 + 16 + 21 rows
     for b, (centre, rho) in enumerate(zip(blocks.centres, blocks.radii)):
-        members = blocks.rows[16 * b: 16 * b + 16] if b < 2 else blocks.rows[32:]
+        members = side.rows[16 * b: 16 * b + 16] if b < 2 else side.rows[32:]
         c = [Fraction(float(v)) for v in centre]
         for row in members:
             assert index.modalities[row] == "image"
@@ -559,7 +568,7 @@ def test_a_block_radius_covers_the_float32_dots_that_round_furthest_up(small_blo
     # the rows as they are, with no normalization that could move their bits
     index = UnifiedIndex(ids=tuple(f"i{j:02d}" for j in range(16)), modalities=("image",) * 16,
                          vectors=np.array([*rows[:8], pool[-1], *rows[8:]]))
-    blocks = index.blocks["image"]
+    blocks = index.sides["image"].blocks
     assert blocks is not None and (blocks.centres[0] == c).all()
     rho = Fraction(float(blocks.radii[0]))
     for x in index.vectors:
@@ -568,24 +577,20 @@ def test_a_block_radius_covers_the_float32_dots_that_round_furthest_up(small_blo
 
 def separate_derived_state(vectors, modalities):
     """An index's derived state from one whole-array pass per quantity, as built
-    before the chunked pass: norms, float32 copy, max_norm, spans, and each
-    modality's blocks with centres, least x.c over each block (the remainder
-    against the last centre), radii and widths."""
+    before the chunked pass: max_norm, and each side's rows, float32 rows and
+    blocks with centres, least x.c over each block (the remainder against the
+    last centre), radii and widths."""
     size = retrieval.BOUND_BLOCK_ROWS
     norms = np.sqrt(vectors[:, None, :] @ vectors[:, :, None]).reshape(len(vectors))
-    vectors32 = vectors.astype(np.float32)
     max_norm = float(norms.max(initial=0.0))
-    spans, blocks = {}, {}
+    sides = {}
     for modality in ("text", "image"):
-        mask = np.array([m == modality for m in modalities], dtype=bool)
-        rows = np.flatnonzero(mask)
-        lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-        spans[modality] = (lo, hi, np.flatnonzero(~mask[lo:hi]))
-        blocks[modality] = None
+        rows = np.flatnonzero([m == modality for m in modalities])
+        x = vectors[rows].astype(np.float32)
+        sides[modality] = retrieval.Side(rows, x, None)
         n, d = len(rows), vectors.shape[1]
         if n < max(retrieval.BOUND_MIN_ROWS, size):
             continue
-        x = vectors32[rows]
         whole = n - n % size
         block_rows = x[:whole].reshape(-1, size, d)
         centres = block_rows[:, size // 2]
@@ -598,14 +603,14 @@ def separate_derived_state(vectors, modalities):
         radii = np.sqrt(np.maximum(spread, 0.0) + slack + 8 * d * 2.0**-150)
         if radii.min() < centre_norm:
             widths = retrieval._block_widths(d, max_norm, centre_norm, radii)
-            blocks[modality] = retrieval.BoundBlocks(rows, centres.copy(), radii, widths)
-    return vectors32, max_norm, spans, blocks
+            sides[modality] = retrieval.Side(rows, x, retrieval.BoundBlocks(centres.copy(), radii, widths))
+    return max_norm, sides
 
 
 @pytest.mark.parametrize(
     "layout",
     [
-        [("text", 5), ("image", 70)],  # the image span starts off a block and a chunk boundary, and straddles chunks
+        [("text", 5), ("image", 70)],  # the image side starts off a block and a chunk boundary, and straddles chunks
         [("image", 69), ("text", 3)],  # 64 whole rows fill two chunks; the last chunk takes the 5-row remainder
         [("image", 96)],  # whole chunks, no remainder
         [("text", 20)],  # fewer rows than one chunk
@@ -613,13 +618,13 @@ def separate_derived_state(vectors, modalities):
         [("text", 7), ("image", 1), ("text", 30), ("image", 40), ("text", 2)],  # interleaved modalities
         [],  # the empty index
     ],
-    ids=["offset span", "remainder after whole chunks", "whole chunks", "under one chunk", "under one block",
+    ids=["offset side", "remainder after whole chunks", "whole chunks", "under one chunk", "under one block",
          "interleaved", "empty"],
 )
 def test_the_chunked_pass_equals_separate_passes(layout, small_blocks, monkeypatch):
-    """vectors32, max_norm, spans and every BoundBlocks field, bit for bit, with
-    chunks of two blocks, rows that keep their blocks, and rows in their last bits
-    off the unit norm."""
+    """max_norm and every side's rows, float32 rows and BoundBlocks fields, bit
+    for bit, with chunks of two blocks, rows that keep their blocks, and rows in
+    their last bits off the unit norm."""
     monkeypatch.setattr(retrieval, "INDEX_CHUNK_ROWS", 2 * retrieval.BOUND_BLOCK_ROWS)
     rng = np.random.default_rng(len(layout))
     modalities = [m for m, count in layout for _ in range(count)]
@@ -627,20 +632,19 @@ def test_the_chunked_pass_equals_separate_passes(layout, small_blocks, monkeypat
     rows = rng.normal(size=d) + 0.05 * rng.normal(size=(len(modalities), d))
     vectors = rows / np.linalg.norm(rows, axis=1)[:, None]
     index = UnifiedIndex(tuple(f"e{j:03d}" for j in range(len(modalities))), tuple(modalities), vectors)
-    vectors32, max_norm, spans, blocks = separate_derived_state(vectors, modalities)
-    assert index.vectors32.dtype == np.float32 and index.vectors32.tobytes() == vectors32.tobytes()
-    assert index.vectors32.shape == vectors32.shape
+    max_norm, sides = separate_derived_state(vectors, modalities)
     assert index.max_norm.hex() == max_norm.hex()
     for modality in ("text", "image"):
-        (lo, hi, others), (ref_lo, ref_hi, ref_others) = index.spans[modality], spans[modality]
-        assert (lo, hi, others.tolist()) == (ref_lo, ref_hi, ref_others.tolist())
-        got, expected = index.blocks[modality], blocks[modality]
-        assert (got is None) == (expected is None)
-        if expected is not None:
-            for field_, a, b in zip(expected._fields, got, expected):
+        got, expected = index.sides[modality], sides[modality]
+        assert got.rows.tolist() == expected.rows.tolist()
+        assert got.vectors32.dtype == np.float32 and got.vectors32.shape == expected.vectors32.shape
+        assert got.vectors32.tobytes() == expected.vectors32.tobytes() and not got.vectors32.flags.writeable
+        assert (got.blocks is None) == (expected.blocks is None)
+        if expected.blocks is not None:
+            for field_, a, b in zip(expected.blocks._fields, got.blocks, expected.blocks):
                 assert (field_, a.dtype, a.shape, a.tobytes()) == (field_, b.dtype, b.shape, b.tobytes())
         # a modality of at least one block's rows keeps its blocks, so its minima are compared
-        assert (expected is not None) == (modalities.count(modality) >= retrieval.BOUND_BLOCK_ROWS)
+        assert (expected.blocks is not None) == (modalities.count(modality) >= retrieval.BOUND_BLOCK_ROWS)
 
 
 @pytest.mark.parametrize(
@@ -685,7 +689,7 @@ def test_blocks_are_kept_only_where_one_could_be_dropped(spread, kept, small_blo
     angles = np.radians(np.concatenate([base + np.linspace(-spread, spread, 16) for base in (0, 180)]))
     angles[[8, 24]] = np.radians([0, 180])  # the middle rows
     index = build_index([(f"i{j:02d}", "image", [np.cos(a), np.sin(a)]) for j, a in enumerate(angles)])
-    assert (index.blocks["image"] is not None) == kept
+    assert (index.sides["image"].blocks is not None) == kept
 
 
 def test_a_screen_equal_to_its_floor_stays_in_the_band():
@@ -746,9 +750,9 @@ def test_blocks_of_many_queries_take_the_bound_unless_they_keep_most_blocks(k, s
     for queries, block in ((coherent, len(coherent)), (scattered, len(scattered)), (straddling, 10)):
         kept.clear()
         with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * len(index) * block):
-            got = query_topk_batch(index, queries, k, "image")
+            got = topk_hex(index, queries, k, "image")
         for q, results in zip(queries, got):
-            assert [(r.rank, r.id, r.score.hex()) for r in results] == full_sort_hex(index, q, "image")[:k]
+            assert results == full_sort_hex(index, q, "image")[:k]
         if queries is scattered:
             assert kept == [None]
         else:
@@ -764,22 +768,7 @@ def test_ceil32_leaves_a_float32_value_as_it_is():
 
 def test_batched_topk_on_a_modality_with_no_entries():
     idx = build_index([(f"i{k}", "image", v) for k, v in enumerate(np.eye(3))])
-    assert query_topk_batch(idx, np.ones((2, 3)), 10, "text") == [[], []]
-
-
-def test_index_spans_cover_each_modality():
-    idx = build_index([("a", "text", [1.0, 0.0]), ("b", "image", [0.0, 1.0]), ("c", "text", [1.0, 1.0])])
-    lo, hi, others = idx.spans["text"]
-    assert (lo, hi, others.tolist()) == (0, 3, [1])
-    lo, hi, others = idx.spans["image"]
-    assert (lo, hi, others.tolist()) == (1, 2, [])
-
-
-def reference_span(modalities, modality):
-    """A modality's (lo, hi, other-modality offsets), found row by row."""
-    rows = [i for i, m in enumerate(modalities) if m == modality]
-    lo, hi = (rows[0], rows[-1] + 1) if rows else (0, 0)
-    return lo, hi, [i - lo for i in range(lo, hi) if modalities[i] != modality]
+    assert topk_hex(idx, np.ones((2, 3)), 10, "text") == [[], []]
 
 
 @pytest.mark.parametrize(
@@ -788,13 +777,34 @@ def reference_span(modalities, modality):
     ids=["empty index", "one text", "one image", "text then image", "image then text",
          "alternating", "interleaved", "no text", "one image last", "image at both ends"],
 )
-def test_index_spans_equal_a_row_by_row_scan(layout):
+def test_index_sides_equal_a_row_by_row_scan(layout):
     modalities = ["text" if c == "t" else "image" for c in layout]
     idx = build_index([(f"e{k:02d}", m, [1.0, float(k)]) for k, m in enumerate(modalities)])
     for modality in ("text", "image"):
-        lo, hi, others = idx.spans[modality]
-        assert others.dtype == np.intp
-        assert (lo, hi, others.tolist()) == reference_span(modalities, modality)
+        side = idx.sides[modality]
+        assert side.rows.dtype == np.intp
+        assert side.rows.tolist() == [i for i, m in enumerate(modalities) if m == modality]
+        assert side.vectors32.tobytes() == idx.vectors[side.rows].astype(np.float32).tobytes()
+        assert side.vectors32.shape == (len(side.rows), 0 if not layout else 2)
+
+
+def test_an_interleaved_index_with_blocks_is_exact_on_both_sides(small_blocks, kept):
+    # 8 clusters of 160 entries in id order, each entry's modality drawn at random: each
+    # side's rows still run cluster by cluster, so both keep blocks and drop some of them
+    rng = np.random.default_rng(11)
+    labels = np.repeat(np.arange(8), 160)
+    vectors = rng.normal(size=(8, 16))[labels] + 1e-3 * rng.normal(size=(len(labels), 16))
+    modalities = rng.choice(["text", "image"], size=len(labels))
+    index = build_index([(f"e{j:04d}", m, v) for j, (m, v) in enumerate(zip(modalities, vectors))])
+    queries = vectors[rng.choice(np.flatnonzero(labels == 5), 4)]
+    for modality in ("text", "image"):
+        assert index.sides[modality].blocks is not None
+        kept.clear()
+        got = topk_hex(index, queries, 10, modality)
+        assert kept and all(rows is not None for rows in kept)
+        for q, results in zip(queries, got):
+            assert results == full_sort_hex(index, q, modality)[:10]
+            assert [(r.rank, r.id, r.score.hex()) for r in query_topk(index, q, 10, modality)] == results
 
 
 def test_non_finite_query_is_a_numeric_error():
@@ -805,7 +815,7 @@ def test_non_finite_query_is_a_numeric_error():
     queries = np.ones((3, 3))
     queries[2, 1] = np.nan
     with pytest.raises(NumericError, match="row 2"):
-        query_topk_batch(idx, queries, 3, "image")
+        retrieval._topk_arrays(idx, queries, 3, "image")
 
 
 def test_build_index_rejects_non_finite_vectors_by_id():
@@ -844,5 +854,5 @@ def test_batched_topk_resolves_rounding_near_ties_exactly(seed):
     q = np.ones(64)
     expected = full_sort_hex(idx, q, "image")
     for k in (1, 3, 10):
-        for got in query_topk_batch(idx, np.tile(q, (3, 1)), k, "image"):
-            assert [(r.rank, r.id, r.score.hex()) for r in got] == expected[:k]
+        for got in topk_hex(idx, np.tile(q, (3, 1)), k, "image"):
+            assert got == expected[:k]
