@@ -11,7 +11,7 @@ total loss is their exact sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,14 +57,14 @@ class TrainConfig:
 
     epochs: int = 50
     batch_size: int = 32
-    learning_rate: float = 1e-3
+    learning_rate: float = AdamConfig.learning_rate
     temperature: float = DEFAULT_TEMPERATURE
     hidden_dims: tuple[int, ...] = (256,)
     unified_dim: int = DEFAULT_UNIFIED_DIM
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    beta1: float = AdamConfig.beta1
+    beta2: float = AdamConfig.beta2
+    epsilon: float = AdamConfig.epsilon
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
@@ -82,9 +82,6 @@ class TrainConfig:
             raise UsageError(f"hidden_dims must all be >= 1, got {self.hidden_dims}")
         if self.unified_dim < 1:
             raise UsageError(f"unified_dim must be >= 1, got {self.unified_dim}")
-
-    def adam(self) -> AdamConfig:
-        return AdamConfig(self.learning_rate, self.beta1, self.beta2, self.epsilon)
 
 
 @dataclass
@@ -364,13 +361,41 @@ def _minibatches(n: int, config: TrainConfig, epoch: int) -> Iterator[tuple[int,
         yield b, perm[start : start + config.batch_size]
 
 
+def _train(heads: Sequence[MlpParams], n: int, config: TrainConfig,
+           step: Callable[[np.ndarray], tuple | None]) -> list[float]:
+    """The one training loop: per `_minibatches` batch, `step(idx)` gives (loss,
+    a gradient per head), or None to skip, and each head takes an Adam step in
+    place.  Returns each epoch's mean loss (0.0 with no batch).  A non-finite
+    loss or any NumericError names its epoch and batch."""
+    adam = AdamConfig(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+    states = [AdamState.zeros_like(head) for head in heads]
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        losses = []
+        for b, idx in _minibatches(n, config, epoch):
+            try:
+                out = step(idx)
+                if out is None:
+                    continue
+                loss, *grads = out
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                for head, g, state in zip(heads, grads, states):
+                    adam_step(head, g, state, adam)
+            except NumericError as exc:  # e.g. a zero projection, naming head and batch row
+                raise NumericError(f"{exc} at epoch {epoch}, batch {b}") from exc
+            losses.append(loss)
+        history.append(float(np.mean(losses)) if losses else 0.0)
+    return history
+
+
 def fit(
     text_features: Sequence[FeatureRecord],
     image_features: Sequence[FeatureRecord],
     pairs: Sequence[PairedExample],
     config: TrainConfig,
 ) -> tuple[AlignmentModel, list[float]]:
-    """Train both projection heads; returns the model and per-epoch mean loss.
+    """Train both projection heads in `_train`; returns the model and per-epoch mean loss.
 
     Deterministic given (inputs, config): weight init draws from the config
     seed, and each epoch shuffles with a stream derived from (seed, epoch).
@@ -390,29 +415,14 @@ def fit(
         temperature=config.temperature,
     )
 
-    adam = config.adam()
-    state_txt = AdamState.zeros_like(model.text_head)
-    state_img = AdamState.zeros_like(model.image_head)
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        batch_losses = []
-        for b, idx in _minibatches(len(pairs), config, epoch):
-            if idx.size < 2:
-                continue
-            y = batch_targets(*(t[idx] for t in tags))
-            try:
-                losses, g_txt, g_img = alignment_gradients(
-                    model, text_mat[idx], image_mat[idx], y
-                )
-            except NumericError as exc:  # e.g. a zero projection, naming head and batch row
-                raise NumericError(f"{exc} at epoch {epoch}, batch {b}") from exc
-            if not np.isfinite(losses[2]):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {b}")
-            adam_step(model.text_head, g_txt, state_txt, adam)  # in place
-            adam_step(model.image_head, g_img, state_img, adam)
-            batch_losses.append(losses[2])
-        history.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
-    return model, history
+    def step(idx):
+        if idx.size < 2:
+            return None
+        y = batch_targets(*(t[idx] for t in tags))
+        losses, g_txt, g_img = alignment_gradients(model, text_mat[idx], image_mat[idx], y)
+        return losses[2], g_txt, g_img
+
+    return model, _train([model.text_head, model.image_head], len(pairs), config, step)
 
 
 def linear_model(

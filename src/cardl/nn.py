@@ -129,6 +129,8 @@ def init_mlp(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """
     if len(dims) < 2:
         raise UsageError(f"need at least input and output dims, got {list(dims)}")
+    if min(dims) < 1:
+        raise UsageError(f"layer widths must all be >= 1, got {list(dims)}")
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -12,16 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError, NumericError, UsageError
-from .nn import (
-    AdamState,
-    MlpParams,
-    adam_step,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-    sigmoid,
-)
-from .alignment import TrainConfig, _minibatches, seeded_rng
+# adam_step is not called here: benchmarks/test_bench.py checks that the tracer wraps this binding
+from .nn import MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward, sigmoid
+from .alignment import TrainConfig, _train, seeded_rng
 
 
 def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -47,6 +40,8 @@ class PairExample:
             raise DimensionError(
                 f"pair vectors must be 1-D and equal dim, got {self.x.shape} and {self.y.shape}"
             )
+        if self.x.size == 0 or not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise DataError("pair vectors must be nonempty and finite")
 
 
 @dataclass(eq=False)
@@ -84,7 +79,8 @@ def pair_loss_and_grads(mlp: MlpParams, features: np.ndarray, targets: np.ndarra
 
 
 def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
-    """Train the relevance head; needs at least one positive and one negative."""
+    """Train the relevance head in `alignment._train`, on every batch, a 1-item
+    tail too; needs at least one positive and one negative."""
     if not examples:
         raise DataError("no training examples")
     n_pos = sum(e.relevant for e in examples)
@@ -97,19 +93,14 @@ def fit_pair_head(examples: list[PairExample], config: TrainConfig) -> PairHead:
 
     d = features.shape[1] // 4
     mlp = init_mlp([4 * d, 2 * d, 1], seeded_rng(config.seed))
-    state = AdamState.zeros_like(mlp)
-    adam = config.adam()
-    for epoch in range(config.epochs):
-        for b, idx in _minibatches(len(examples), config, epoch):
-            loss, grads = pair_loss_and_grads(mlp, features[idx], targets[idx])
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite pair loss at epoch {epoch}, batch {b}")
-            adam_step(mlp, grads, state, adam)  # in place
+    _train([mlp], len(examples), config, lambda idx: pair_loss_and_grads(mlp, features[idx], targets[idx]))
     return PairHead(mlp)
 
 
 def predict_pair(head: PairHead, x: np.ndarray, y: np.ndarray) -> float:
-    """Relevance probability in [0, 1] for one pair."""
+    """Relevance probability in [0, 1] for one pair; non-finite x or y is a NumericError."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):  # before inf - inf can warn
+        raise NumericError("cannot score a pair with non-finite values")
     logits, _ = mlp_forward(head.mlp, combine_pair(x, y)[None, :])
     return float(sigmoid(logits[0, 0]))
 

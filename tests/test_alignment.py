@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardl import alignment
+from cardl import alignment, pairhead
 from cardl.alignment import (
     AlignmentModel,
     PairedExample,
@@ -32,6 +32,7 @@ from cardl.nn import (
     init_mlp,
     unflatten_params,
 )
+from cardl.pairhead import PairExample, fit_pair_head, pair_loss_and_grads
 from cardl.records import FeatureRecord
 
 
@@ -537,6 +538,30 @@ def test_fit_numeric_failure_names_epoch_and_batch():
     # the loss was never computed: the message names the zero projection's head and batch row
     assert re.match(r"cannot normalize zero (text|image) projection \(row \d+\) at epoch", str(info.value))
     assert "non-finite loss" not in str(info.value)
+
+
+def test_every_training_numeric_error_names_epoch_and_batch():
+    """A NaN gradient with a finite loss reaches Adam, in both trainers; its
+    error names the epoch and batch, as a zero projection's does."""
+    def nan_gradients(grads):
+        return [(np.full_like(w, np.nan), b) for w, b in grads]
+
+    def alignment_nan(model, *batch):
+        losses, g_txt, g_img = alignment_gradients(model, *batch)
+        return losses, nan_gradients(g_txt), g_img
+
+    def pair_nan(mlp, features, targets):
+        loss, grads = pair_loss_and_grads(mlp, features, targets)
+        return loss, nan_gradients(grads)
+
+    expected = "^non-finite gradient at layer 0 at epoch 0, batch 0$"
+    texts, images, pairs = toy_corpus()
+    cfg = TrainConfig(epochs=2, batch_size=4, hidden_dims=(8,), unified_dim=3)
+    with patch.object(alignment, "alignment_gradients", alignment_nan), pytest.raises(NumericError, match=expected):
+        fit(texts, images, pairs, cfg)
+    examples = [PairExample(r.vector[:2], r.vector[2:4], relevant=k % 2 == 0) for k, r in enumerate(texts)]
+    with patch.object(pairhead, "pair_loss_and_grads", pair_nan), pytest.raises(NumericError, match=expected):
+        fit_pair_head(examples, cfg)
 
 
 def test_fit_converges_ranks_partner_first():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardl import cli
-from cardl.alignment import TrainConfig, linear_model
+from cardl.alignment import PairedExample, TrainConfig, fit, linear_model
 from cardl.cli import _parse_int_list, build_parser, cli_main
 from cardl.dataio import (
     SyntheticConfig, load_features, load_index, load_model, load_report, save_features, save_index, save_model,
@@ -21,6 +21,7 @@ from cardl.dataio import (
 )
 from cardl.evaluation import DEFAULT_K_LIST
 from cardl.pairhead import PairExample, fit_pair_head
+from cardl.records import FeatureRecord
 from cardl.retrieval import build_index
 from fileedit import edit_file, read_file
 from test_acceptance import run_pipeline
@@ -421,6 +422,49 @@ def test_criterion_8_pipeline_keeps_its_content_hashes(tmp_path, capsys):
     if key not in CRITERION_8_VALUES:
         pytest.skip(f"no model and index hashes pinned for BLAS {key!r}; it gives {values}")
     assert values == CRITERION_8_VALUES[key]
+
+
+# Both trainers' values per BLAS build and core, for the same reason as
+# CRITERION_8_VALUES: `fit`'s heads and loss history, and the pair head.
+TRAINER_VALUES = {
+    "OpenBLAS 0.3.31.188.0 SkylakeX": {
+        "fit": "b3affd9ea3f81057486447553f9809039898660406fbe98b51e14b10911bdcd3",
+        "fit_pair_head": "b4ae71da99ba8b2a8ec15bc29978d2a39656e34b58ac04f9f4904879c00bcbb9",
+    },
+    "OpenBLAS 0.3.31.188.0 Haswell": {
+        "fit": "75a5e513d45c904cb7aff74ca33be9dbdee5d30ab8bf1dda52f3f2aaa5f75413",
+        "fit_pair_head": "b4ae71da99ba8b2a8ec15bc29978d2a39656e34b58ac04f9f4904879c00bcbb9",
+    },
+    "OpenBLAS 0.3.31.188.0 Sandybridge": {
+        "fit": "81de98756a9e5e359a2f4a2e98cedbb78924a3ce79c3f50f108cedf0cfc6bfe3",
+        "fit_pair_head": "88425ab4c9260f0391496191166feb2ad3369c3cb88e8196439b97845a65eea9",
+    },
+}
+
+
+def test_both_trainers_keep_their_content_hashes():
+    """`fit` on 13 pairs in batches of 4, which drops each epoch's 1-pair
+    tail, and `fit_pair_head` on 13 examples in batches of 4, which trains
+    on each epoch's 1-example tail: per BLAS kernel, the little-endian
+    float64 bytes of both heads and the history, and of the pair head."""
+    rng = np.random.default_rng(8)
+    texts = [FeatureRecord(f"t{k}", "text", rng.normal(size=10)) for k in range(13)]
+    images = [FeatureRecord(f"i{k}", "image", rng.normal(size=12)) for k in range(13)]
+    pairs = [PairedExample(f"t{k}", f"i{k}", label="ab"[k % 2] if k % 3 else None) for k in range(13)]
+    examples = [PairExample(rng.normal(size=6), rng.normal(size=6), relevant=k % 3 == 0) for k in range(13)]
+    config = TrainConfig(epochs=4, batch_size=4, hidden_dims=(16,), unified_dim=6, seed=11)
+    model, history = fit(texts, images, pairs, config)
+    head = fit_pair_head(examples, config)
+
+    def digest(*arrays):
+        return hashlib.sha256(b"".join(np.asarray(a).astype("<f8").tobytes() for a in arrays)).hexdigest()
+
+    values = {"fit": digest(model.text_head.flat, model.image_head.flat, history),
+              "fit_pair_head": digest(head.mlp.flat)}
+    key = openblas_key()
+    if key not in TRAINER_VALUES:
+        pytest.skip(f"no trainer hashes pinned for BLAS {key!r}; it gives {values}")
+    assert values == TRAINER_VALUES[key]
 
 
 def eval_report(model, features_dir, work):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,12 @@ def test_init_mlp_glorot_bounds_and_zero_bias():
     assert np.array_equal(again.layers[0].weight, mlp.layers[0].weight)
     other = init_mlp([10, 7, 3], rng)
     assert not np.array_equal(other.layers[0].weight, mlp.layers[0].weight)
+
+
+@pytest.mark.parametrize("dims", [[0, 0, 1], [3, 0, 1], [3, -1, 1], [3, 2, 0]])
+def test_init_mlp_refuses_widths_below_one_naming_the_dims(dims):
+    with pytest.raises(UsageError, match=re.escape(str(dims))):
+        init_mlp(dims, np.random.default_rng(0))
 
 
 def test_forward_identity_single_layer():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cardl.alignment import TrainConfig
-from cardl.errors import DataError, DimensionError
+from cardl.errors import DataError, DimensionError, NumericError
 from cardl.nn import (
     finite_diff_grad,
     flatten_grads,
@@ -77,6 +77,12 @@ def test_combine_pair_of_rows_equals_each_pair_combined():
 def test_pair_example_validation():
     with pytest.raises(DimensionError):
         PairExample(np.ones(2), np.ones(4), relevant=True)
+
+
+@pytest.mark.parametrize("x, y", [([np.inf], [1.0]), ([1.0, 2.0], [np.nan, 0.0]), ([-np.inf], [np.inf]), ([], [])])
+def test_pair_example_refuses_empty_or_non_finite_vectors(x, y):
+    with pytest.raises(DataError, match="nonempty and finite"):
+        PairExample(x, y, relevant=True)
 
 
 # --------------------------------------------------------------- head shape --
@@ -178,6 +184,14 @@ def test_predict_pair_in_unit_interval():
     for _ in range(10):
         p = predict_pair(head, rng.normal(size=2), rng.normal(size=2))
         assert 0.0 <= p <= 1.0
+
+
+@pytest.mark.parametrize("x, y", [([np.nan, 0.0], [1.0, 0.0]), ([1.0, 0.0], [0.0, np.inf]), ([-np.inf, 0.0], [1.0, 0.0]),
+                                  ([np.inf, 0.0], [np.inf, 0.0])])
+def test_predict_pair_refuses_non_finite_input(x, y):
+    head = PairHead(init_mlp([8, 4, 1], np.random.default_rng(5)))
+    with pytest.raises(NumericError, match="non-finite"):
+        predict_pair(head, np.array(x), np.array(y))
 
 
 def test_pair_accuracy_counts_threshold_halves():
