@@ -1,6 +1,7 @@
 """Command-line pipeline: synth | train | pairhead-train | embed | index | query | eval.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that does not
+fit another file too), 3 numeric failure.
 Diagnostics go to stderr; results go to stdout or the --out files.  All
 randomness flows from --seed (falling back to the CARDL_SEED environment
 variable, then 0), so identical invocations produce byte-identical outputs.
@@ -20,10 +21,11 @@ import numpy as np
 
 from . import dataio
 from .alignment import TrainConfig, fit, seeded_rng
-from .errors import CardlError, DataError, NumericError, UsageError
+from .errors import CardlError, DataError, NumericError, UsageError, in_file
 from .evaluation import DEFAULT_K_LIST, evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
-from .retrieval import DIRECTION_SIDES, DIRECTIONS, TXT2IMG, cross_media_search, query_topk
+from .records import TEXT, check_fits
+from .retrieval import DIRECTION_SIDES, DIRECTIONS, cross_media_search, query_topk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,14 +62,27 @@ def _log(message: str) -> None:
 
 
 @contextlib.contextmanager
-def _projecting_through(model_path: str):
-    """Projection through the model file: a numeric failure names the file,
-    and an overflow in numpy is reported only as that failure."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    except NumericError as exc:
-        raise NumericError(f"{exc} through the model {model_path}") from exc
+def _numerics_of(*paths: str):
+    """A numeric failure inside names these files, and a numpy overflow is reported only as that failure."""
+    with in_file(paths, only=NumericError), np.errstate(over="ignore", invalid="ignore"):
+        yield
+
+
+@contextlib.contextmanager
+def _projecting_through(model_path: str, features_path: str):
+    """Projection of the feature file's records through the model file: a numeric
+    failure names both files, and a record that does not fit the model the feature file."""
+    with _numerics_of(model_path, features_path), in_file(features_path, only=DataError):
+        yield
+
+
+def _model_for(index, args):
+    """The model of --model, refused where its unified dim is not the dim of --index."""
+    model = dataio.load_model(args.model)
+    if len(index) and model.unified_dim != index.dimension:
+        raise DataError(f"model unified dim {model.unified_dim} does not match index dim {index.dimension}",
+                        path=(args.model, args.index))
+    return model
 
 
 # ------------------------------------------------------------- subcommands --
@@ -112,7 +127,8 @@ def _cmd_train(args) -> int:
     image_records = dataio.load_features(args.image_features)
     modality_of = {r.id: r.modality for r in text_records + image_records}
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, modality_of=modality_of)
-    model, history = fit(text_records, image_records, pairs, config)
+    with _numerics_of(args.text_features, args.image_features):
+        model, history = fit(text_records, image_records, pairs, config)
     for epoch, loss in enumerate(history, start=1):
         _log(f"epoch {epoch}/{config.epochs} mean loss {loss:.6f}")
     dataio.save_model(model, args.out, train_config=config)
@@ -128,7 +144,11 @@ def _cmd_pairhead_train(args) -> int:
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, modality_of={r.id: r.modality for r in records})
     seed, n = _resolve_seed(args.seed), len(pairs)
     if n < 2:
-        raise DataError("need at least 2 pairs to sample mismatched negatives")
+        raise DataError("need at least 2 pairs to sample mismatched negatives", path=args.pairs)
+    text, image = by_id[pairs[0].text_id], by_id[pairs[0].image_id]  # each modality has one dim in the file
+    if text.dim != image.dim:
+        raise DataError(f"pair {text.id!r} -> {image.id!r} joins a text vector of dim {text.dim} and an image vector "
+                        f"of dim {image.dim}; a pair head needs one dim", path=(args.features, args.pairs))
     drawn = seeded_rng(seed).integers(n - 1, size=(n, args.negatives_per_positive))
     drawn += drawn >= np.arange(n)[:, None]  # never draw the true partner
     examples = [
@@ -138,13 +158,9 @@ def _cmd_pairhead_train(args) -> int:
         PairExample(by_id[p.text_id].vector, by_id[pairs[j].image_id].vector, relevant=False)
         for p, row in zip(pairs, drawn) for j in row
     ]
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=seed,
-    )
-    head = fit_pair_head(examples, config)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate, seed=seed)
+    with _numerics_of(args.features):
+        head = fit_pair_head(examples, config)
     dataio.save_pair_head(head, args.out, seed=seed)
     _log(f"trained pair head on {n} positives / {len(examples) - n} sampled negatives; wrote {args.out}")
     return 0
@@ -153,11 +169,8 @@ def _cmd_pairhead_train(args) -> int:
 def _cmd_embed(args) -> int:
     model = dataio.load_model(args.model)
     records = dataio.load_features(args.features)
-    try:
-        with _projecting_through(args.model):
-            unified = dataio.unified_records(model, records)
-    except CardlError as exc:  # a record that does not fit its head names its id; add the file
-        raise type(exc)(f"{args.features}: {exc}") from exc
+    with _projecting_through(args.model, args.features):
+        unified = dataio.unified_records(model, records)
     dataio.save_features(unified, args.out)
     _log(f"projected {len(unified)} records into {model.unified_dim}-d space; wrote {args.out}")
     return 0
@@ -171,33 +184,28 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _check_query_side(direction: str, query_id: str, modality: str, where: str) -> None:
+def _check_query_side(direction: str, query_id: str, modality: str, path: str) -> None:
     source = DIRECTION_SIDES[direction][0]
     if modality != source:
-        raise UsageError(
-            f"direction {direction} takes a {source} query, but id {query_id!r} is {modality} in {where}"
-        )
+        raise UsageError(f"direction {direction} takes a {source} query, but id {query_id!r} is {modality}", path=path)
 
 
 def _cmd_query(args) -> int:
     if args.features and not args.model:
         raise UsageError("--features needs --model to project the raw query")
-    index = dataio.load_index(args.index)
-    direction = args.direction
+    index, direction = dataio.load_index(args.index), args.direction
     if args.features:
-        model = dataio.load_model(args.model)
+        model = _model_for(index, args)
         record = dataio.find_feature(args.features, args.id)
-        _check_query_side(direction, args.id, record.modality, f"the feature file {args.features}")
-        with _projecting_through(args.model):
+        _check_query_side(direction, args.id, record.modality, args.features)
+        with _projecting_through(args.model, args.features):
             results = cross_media_search(model, index, record, args.k, direction)
     else:
         # no raw features given: fall back to the query's stored unified vector
         row = bisect.bisect_left(index.ids, args.id)  # ids are in ascending order
         if row == len(index) or index.ids[row] != args.id:
-            raise DataError(
-                f"id {args.id!r} not in the index {args.index}; pass --features with its raw vector"
-            )
-        _check_query_side(direction, args.id, index.modalities[row], f"the index {args.index}")
+            raise DataError(f"id {args.id!r} not in the index; pass --features with its raw vector", path=args.index)
+        _check_query_side(direction, args.id, index.modalities[row], args.index)
         results = query_topk(index, index.vectors[row], args.k, DIRECTION_SIDES[direction][1])
     for result in results:
         print(f"{result.rank}\t{result.id}\t{result.score:.6f}")
@@ -206,7 +214,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_eval(args) -> int:
     index = dataio.load_index(args.index)
-    model = dataio.load_model(args.model)
+    model = _model_for(index, args)
     text_records = dataio.load_features(args.text_features)
     image_records = dataio.load_features(args.image_features)
     modality_of = {r.id: r.modality for r in text_records + image_records}
@@ -215,10 +223,12 @@ def _cmd_eval(args) -> int:
     directions = list(DIRECTIONS) if args.direction == "both" else [args.direction]
     reports = {}
     for direction in directions:
-        queries = text_records if direction == TXT2IMG else image_records
-        if not len(index.sides[DIRECTION_SIDES[direction][1]].rows):  # evaluate_retrieval's rule, naming the file
-            raise DataError(f"{args.index}: index has no candidates for direction {direction}")
-        with _projecting_through(args.model):
+        source, target = DIRECTION_SIDES[direction]
+        queries, path = (text_records, args.text_features) if source == TEXT else (image_records, args.image_features)
+        if not len(index.sides[target].rows):  # evaluate_retrieval's rule, naming the file
+            raise DataError(f"index has no candidates for direction {direction}", path=args.index)
+        with _projecting_through(args.model, path):
+            check_fits(queries, source, model.head_for(source).input_dim)  # each record of the file, judged or not
             reports[direction] = evaluate_retrieval(
                 model, index, queries, qrels, k_list=k_list, direction=direction
             )

@@ -10,7 +10,9 @@ Formats (all byte-deterministic under a fixed seed):
   - report (format 1): one line of sorted-key JSON with round-trip-exact floats
 
 Each versioned file's header carries its `kind` and `format_version`
-(FORMAT_VERSIONS); `_read_doc` refuses any other, naming the file.
+(FORMAT_VERSIONS); `_read_doc` refuses any other.  Each public loader reads
+inside `in_file(path)`, so that every error it raises names the file it read
+(and gives the line through `line=`), and an unreadable file is a DataError.
 All writes go through a write-temp-fsync-rename helper, so readers never see
 partial files and concurrent writers of one target never share a temp file.
 """
@@ -23,18 +25,18 @@ import os
 import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .alignment import (
     DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model, project, seeded_rng,
 )
-from .errors import CardlError, DataError, DimensionError, NumericError, UsageError
+from .errors import CardlError, DataError, DimensionError, NumericError, UsageError, in_file
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import MlpParams, mlp_from_flat
 from .pairhead import PairHead
-from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
+from .records import IMAGE, MODALITIES, TEXT, FeatureRecord, check_fits
 from .retrieval import UnifiedIndex, build_index
 
 # kind -> format version of each versioned file; format 2 adds the payload
@@ -64,21 +66,13 @@ def atomic_write(path: str | Path, *chunks: bytes | np.ndarray) -> None:
         raise
 
 
-def _read_bytes(path: str | Path, what: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
-
-
-def _read_text(path: str | Path, what: str) -> str:
-    """The file's text with its line ends as written: `str.splitlines` ends a
-    line at CR LF and at a lone CR as at LF, so a text-mode read's translation
-    of them would only add time (more than the decode takes)."""
-    try:
-        return _read_bytes(path, what).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each nonblank line of a UTF-8 text file, line ends
+    as written: `str.splitlines` ends a line at CR LF and at a lone CR as at LF,
+    so a text-mode read's translation of them would only add time."""
+    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8").splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
 
 
 def _header(kind: str) -> dict:
@@ -100,38 +94,34 @@ def _write_doc(path: str | Path, kind: str, body: dict, payload: np.ndarray | No
     atomic_write(path, (json.dumps(header, sort_keys=True) + "\n").encode(), b"" if payload is None else payload)
 
 
-def _read_doc(path: str | Path, kind: str, what: str) -> tuple[dict, np.ndarray]:
+def _read_doc(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     """The header of a versioned file of this kind and version, and its
     payload (empty for a format-1 kind), refusing any other file."""
     header = _header(kind)
-    try:
-        with open(path, "rb", buffering=0) as f:
-            try:
-                doc = json.loads(_read_line(f))
-            except ValueError as exc:
-                raise DataError(f"{path}: not valid JSON: {exc}") from exc
-            is_dict = isinstance(doc, dict)
-            found = {key: doc.get(key) for key in header} if is_dict else f"a JSON {type(doc).__name__}"
-            if not is_dict or any(_differs(found[key], value) for key, value in header.items()):
-                raise DataError(f"{path}: expected {header}, found {found}")
-            spec = doc.get("payload") if header["format_version"] == 2 else EMPTY_PAYLOAD
-            shape = spec.get("shape") if isinstance(spec, dict) else None
-            dims_ok = isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
-            if not dims_ok or _differs(spec.get("dtype"), PAYLOAD_DTYPE):
-                raise DataError(f"{path}: payload must be {{'dtype': '<f8', 'shape': [sizes]}}, found {spec!r}")
-            size, left = 8 * math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
-            if left != size:
-                problem = "truncated payload" if left < size else "trailing bytes"
-                raise DataError(f"{path}: {problem}: its header declares {size} payload bytes, {left} follow it")
-            # np.fromfile returns an aligned array; BLAS is ~20x slower on a misaligned one
-            payload = np.fromfile(f, PAYLOAD_DTYPE, size // 8)
-            try:
-                payload = payload.reshape(shape)
-            except ValueError as exc:  # a shape numpy cannot make, such as one of 65 dims
-                raise DataError(f"{path}: payload shape {shape}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
-    return doc, payload
+    with open(path, "rb", buffering=0) as f:
+        try:
+            doc = json.loads(_read_line(f))
+        except ValueError as exc:
+            raise DataError(f"not valid JSON: {exc}") from exc
+        is_dict = isinstance(doc, dict)
+        found = {key: doc.get(key) for key in header} if is_dict else f"a JSON {type(doc).__name__}"
+        if not is_dict or any(_differs(found[key], value) for key, value in header.items()):
+            raise DataError(f"expected {header}, found {found}")
+        spec = doc.get("payload") if header["format_version"] == 2 else EMPTY_PAYLOAD
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        dims_ok = isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+        if not dims_ok or _differs(spec.get("dtype"), PAYLOAD_DTYPE):
+            raise DataError(f"payload must be {{'dtype': '<f8', 'shape': [sizes]}}, found {spec!r}")
+        size, left = 8 * math.prod(shape), os.fstat(f.fileno()).st_size - f.tell()
+        if left != size:
+            problem = "truncated payload" if left < size else "trailing bytes"
+            raise DataError(f"{problem}: its header declares {size} payload bytes, {left} follow it")
+        # np.fromfile returns an aligned array; BLAS is ~20x slower on a misaligned one
+        payload = np.fromfile(f, PAYLOAD_DTYPE, size // 8)
+        try:
+            return doc, payload.reshape(shape)
+        except ValueError as exc:  # a shape numpy cannot make, such as one of 65 dims
+            raise DataError(f"payload shape {shape}: {exc}") from exc
 
 
 def _read_line(f) -> bytes:
@@ -153,11 +143,8 @@ def _read_line(f) -> bytes:
 # ---------------------------------------------------------------- features --
 
 def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
-    lines = [
-        json.dumps({"id": r.id, "modality": r.modality, "vector": r.vector.tolist()},
-                   sort_keys=True, separators=(",", ":"))
-        for r in records
-    ]
+    lines = [json.dumps({"id": r.id, "modality": r.modality, "vector": r.vector.tolist()},
+                        sort_keys=True, separators=(",", ":")) for r in records]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -175,27 +162,24 @@ def _feature_record(line: str) -> FeatureRecord:
 def load_features(path: str | Path) -> list[FeatureRecord]:
     """Parse a feature file; order is preserved, dims must be uniform per modality."""
     records: list[FeatureRecord] = []
-    dims: dict[str, tuple[int, int]] = {}  # modality -> (dim, line where first seen)
+    firsts: dict[str, FeatureRecord] = {}  # modality -> its first record
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(_read_text(path, "feature").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = _feature_record(line)
-        except _MALFORMED as exc:
-            raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
-        if record.id in seen_ids:
-            raise DataError(f"{path}: duplicate id {record.id!r} at line {lineno}")
-        seen_ids.add(record.id)
-        dim, first_line = dims.setdefault(record.modality, (record.dim, lineno))
-        if record.dim != dim:
-            raise DataError(
-                f"{path}: inconsistent {record.modality} dimension: {record.dim} at "
-                f"line {lineno}, {dim} at line {first_line}"
-            )
-        records.append(record)
-    if not records:
-        raise DataError(f"{path}: feature file is empty")
+    with in_file(path):
+        for lineno, line in _lines(path):
+            try:
+                record = _feature_record(line)
+            except _MALFORMED as exc:
+                raise DataError(f"malformed record: {exc}", line=lineno) from exc
+            if record.id in seen_ids:
+                raise DataError(f"duplicate id {record.id!r}", line=lineno)
+            seen_ids.add(record.id)
+            first = firsts.setdefault(record.modality, record)
+            if record.dim != first.dim:
+                raise DataError(f"inconsistent {record.modality} dimension: {record.dim}, but record {first.id!r} "
+                                f"has {first.dim}", line=lineno)
+            records.append(record)
+        if not records:
+            raise DataError("feature file is empty")
     return records
 
 
@@ -211,38 +195,34 @@ def find_feature(path: str | Path, record_id: str) -> FeatureRecord:
     number is counted only for such a message, and it is the one
     `load_features` gives the line.
     """
-    data = _read_bytes(path, "feature")  # decoding all of it would cost more than the search
-    needle, found = f'"{record_id}"', None
-    # a lone surrogate has no UTF-8 form: such an id is found only through an escape, a backslash line
-    pattern = needle.encode("utf-8", "surrogatepass")
-    quote_at, slash_at = data.find(pattern), data.find(b"\\")  # the next of each; -1 when none is left
-    while quote_at >= 0 or slash_at >= 0:
-        start = data.rfind(b"\n", 0, min(at for at in (quote_at, slash_at) if at >= 0)) + 1
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        try:
-            text = data[start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cannot read feature file {path}: {exc}") from exc
-        # splitlines also ends a line at \r, \v, \x85, \u2028 and the like
-        for k, line in enumerate(text.splitlines()):
-            if needle not in line and "\\" not in line:
-                continue
-            try:
-                record = _feature_record(line)
-            except _MALFORMED as exc:
-                lineno = _line_number(data, start, k)
-                raise DataError(f"{path}: malformed record at line {lineno}: {exc}") from exc
-            if record.id == record_id:
-                if found is not None:
-                    raise DataError(f"{path}: duplicate id {record_id!r} at line {_line_number(data, start, k)}")
-                found = record
-        if 0 <= quote_at < end:
-            quote_at = data.find(pattern, end)
-        if 0 <= slash_at < end:
-            slash_at = data.find(b"\\", end)
-    if found is None:
-        raise DataError(f"id {record_id!r} not found in {path}")
+    with in_file(path):
+        data = Path(path).read_bytes()  # decoding all of it would cost more than the search
+        needle, found = f'"{record_id}"', None
+        # a lone surrogate has no UTF-8 form: such an id is found only through an escape, a backslash line
+        pattern = needle.encode("utf-8", "surrogatepass")
+        quote_at, slash_at = data.find(pattern), data.find(b"\\")  # the next of each; -1 when none is left
+        while quote_at >= 0 or slash_at >= 0:
+            start = data.rfind(b"\n", 0, min(at for at in (quote_at, slash_at) if at >= 0)) + 1
+            end = data.find(b"\n", start)
+            end = len(data) if end < 0 else end
+            # splitlines also ends a line at \r, \v, \x85, \u2028 and the like
+            for k, line in enumerate(data[start:end].decode("utf-8").splitlines()):
+                if needle not in line and "\\" not in line:
+                    continue
+                try:
+                    record = _feature_record(line)
+                except _MALFORMED as exc:
+                    raise DataError(f"malformed record: {exc}", line=_line_number(data, start, k)) from exc
+                if record.id == record_id:
+                    if found is not None:
+                        raise DataError(f"duplicate id {record_id!r}", line=_line_number(data, start, k))
+                    found = record
+            if 0 <= quote_at < end:
+                quote_at = data.find(pattern, end)
+            if 0 <= slash_at < end:
+                slash_at = data.find(b"\\", end)
+        if found is None:
+            raise DataError(f"id {record_id!r} not found")
     return found
 
 
@@ -254,21 +234,12 @@ def _line_number(data: bytes, start: int, k: int) -> int:
 # ----------------------------------------------------------- pairs / qrels --
 
 def save_pairs(pairs: Sequence[PairedExample], path: str | Path) -> None:
-    lines = []
-    for p in pairs:
-        row = [p.text_id, p.image_id]
-        if p.label is not None:
-            row.append(p.label)
-        lines.append("\t".join(row))
+    lines = ["\t".join([p.text_id, p.image_id] + ([] if p.label is None else [p.label])) for p in pairs]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def save_qrels(qrels: Mapping[str, set[str]], path: str | Path) -> None:
-    lines = [
-        f"{qid}\t{doc}\t1"
-        for qid in sorted(qrels)
-        for doc in sorted(qrels[qid])
-    ]
+    lines = [f"{qid}\t{doc}\t1" for qid in sorted(qrels) for doc in sorted(qrels[qid])]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -284,34 +255,27 @@ def load_pairs_and_qrels(
     given, any id not in it, and a pair whose text or image side names a
     record of the other modality, is a data error naming the file and line.
     """
-    raw = _read_text(pairs_path, "pairs")
     pairs: list[PairedExample] = []
     seen_rows: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) not in (2, 3):
-            raise DataError(
-                f"{pairs_path}: line {lineno}: expected 2 or 3 tab-separated "
-                f"fields, got {len(fields)}"
-            )
-        text_id, image_id = fields[0], fields[1]
-        label = fields[2] if len(fields) == 3 else None
-        if (text_id, image_id) in seen_rows:
-            raise DataError(f"{pairs_path}: line {lineno}: duplicate pair {text_id} -> {image_id}")
-        seen_rows.add((text_id, image_id))
-        if modality_of is not None:
-            for id_, side in ((text_id, TEXT), (image_id, IMAGE)):
-                if id_ not in modality_of:
-                    raise DataError(f"{pairs_path}: line {lineno}: unknown id {id_!r}")
-                if modality_of[id_] != side:
-                    raise DataError(
-                        f"{pairs_path}: line {lineno}: {side} id {id_!r} is a {modality_of[id_]} record"
-                    )
-        pairs.append(PairedExample(text_id=text_id, image_id=image_id, label=label))
-    if not pairs:
-        raise DataError(f"{pairs_path}: no pairs found")
+    with in_file(pairs_path):
+        for lineno, line in _lines(pairs_path):
+            fields = line.split("\t")
+            if len(fields) not in (2, 3):
+                raise DataError(f"expected 2 or 3 tab-separated fields, got {len(fields)}", line=lineno)
+            text_id, image_id = fields[0], fields[1]
+            label = fields[2] if len(fields) == 3 else None
+            if (text_id, image_id) in seen_rows:
+                raise DataError(f"duplicate pair {text_id} -> {image_id}", line=lineno)
+            seen_rows.add((text_id, image_id))
+            if modality_of is not None:
+                for id_, side in ((text_id, TEXT), (image_id, IMAGE)):
+                    if id_ not in modality_of:
+                        raise DataError(f"unknown id {id_!r}", line=lineno)
+                    if modality_of[id_] != side:
+                        raise DataError(f"{side} id {id_!r} is a {modality_of[id_]} record", line=lineno)
+            pairs.append(PairedExample(text_id=text_id, image_id=image_id, label=label))
+        if not pairs:
+            raise DataError("no pairs found")
 
     qrels: RelevanceJudgments = {}
     if qrels_path is None:
@@ -320,27 +284,23 @@ def load_pairs_and_qrels(
             qrels.setdefault(p.image_id, set()).add(p.text_id)
         return pairs, qrels
 
-    raw = _read_text(qrels_path, "qrels")
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 3 or fields[2] not in ("0", "1"):
-            raise DataError(
-                f"{qrels_path}: line {lineno}: expected 'query<TAB>doc<TAB>0|1'"
-            )
-        qid, doc, rel = fields
-        for id_ in (qid, doc):
-            if modality_of is not None and id_ not in modality_of:
-                raise DataError(f"{qrels_path}: line {lineno}: unknown id {id_!r}")
-        if rel == "1":
-            qrels.setdefault(qid, set()).add(doc)
+    with in_file(qrels_path):
+        for lineno, line in _lines(qrels_path):
+            fields = line.split("\t")
+            if len(fields) != 3 or fields[2] not in ("0", "1"):
+                raise DataError("expected 'query<TAB>doc<TAB>0|1'", line=lineno)
+            qid, doc, rel = fields
+            for id_ in (qid, doc):
+                if modality_of is not None and id_ not in modality_of:
+                    raise DataError(f"unknown id {id_!r}", line=lineno)
+            if rel == "1":
+                qrels.setdefault(qid, set()).add(doc)
     return pairs, qrels
 
 
 # -------------------------------------------------------------------- model --
 
-def _mlps_from(doc: dict, payload: np.ndarray, path: str | Path, heads: Mapping[str, str]) -> list[MlpParams]:
+def _mlps_from(doc: dict, payload: np.ndarray, heads: Mapping[str, str]) -> list[MlpParams]:
     """The MLPs whose layer shapes the header fields `heads` give (field ->
     name in messages), cut one after another from the payload."""
     shapes = [doc.get(field) for field in heads]
@@ -348,24 +308,24 @@ def _mlps_from(doc: dict, payload: np.ndarray, path: str | Path, heads: Mapping[
         if not (isinstance(s, list) and s and all(
             isinstance(p, list) and len(p) == 2 and all(type(d) is int and d >= 1 for d in p) for p in s
         )):
-            raise DataError(f"{path}: {name}: expected a nonempty list of [out, in] layer shapes, found {s!r}")
+            raise DataError(f"{name}: expected a nonempty list of [out, in] layer shapes, found {s!r}")
     ends = np.cumsum([0] + [sum(out_dim * (in_dim + 1) for out_dim, in_dim in s) for s in shapes])
     if payload.shape != (ends[-1],):
-        raise DataError(f"{path}: payload shape {list(payload.shape)} does not match the layer shapes")
+        raise DataError(f"payload shape {list(payload.shape)} does not match the layer shapes")
     mlps = []
     for name, s, lo, hi in zip(heads.values(), shapes, ends, ends[1:]):
         try:
             mlps.append(mlp_from_flat(s, payload[lo:hi]))
         except CardlError as exc:  # layers that do not chain, or a non-finite parameter
-            raise DataError(f"{path}: {name}: {exc}") from exc
+            raise DataError(f"{name}: {exc}") from exc
     return mlps
 
 
-def _check_declared(doc: dict, path: str | Path, obj, names: Sequence[str], source: str) -> None:
+def _check_declared(doc: dict, obj, names: Sequence[str], source: str) -> None:
     """Each header field in `names` must equal the same attribute of `obj`."""
     for name in names:
         if _differs(doc.get(name), getattr(obj, name)):
-            raise DataError(f"{path}: {name} is {doc.get(name)!r}; {source} {getattr(obj, name)}")
+            raise DataError(f"{name} is {doc.get(name)!r}; {source} {getattr(obj, name)}")
 
 
 def save_model(
@@ -390,18 +350,19 @@ def save_model(
 
 def load_model(path: str | Path) -> AlignmentModel:
     """Reload a saved model; projections are bit-identical to the original."""
-    doc, payload = _read_doc(path, "alignment_model", "model")
-    heads = _mlps_from(doc, payload, path, {"text_head": "text_head", "image_head": "image_head"})
-    temperature = doc.get("temperature")
-    if type(temperature) not in (int, float):  # refuses true and "0.5", which float() would take
-        raise DataError(f"{path}: temperature must be a number, found {temperature!r}")
-    try:
-        model = AlignmentModel(*heads, temperature=float(temperature))
-    except OverflowError as exc:  # an integer beyond the float range
-        raise DataError(f"{path}: temperature {exc}") from exc
-    except UsageError as exc:  # heads that disagree, or a temperature not positive and finite
-        raise DataError(f"{path}: {exc}") from exc
-    _check_declared(doc, path, model, ("unified_dim", "text_input_dim", "image_input_dim"), "its heads give")
+    with in_file(path):
+        doc, payload = _read_doc(path, "alignment_model")
+        heads = _mlps_from(doc, payload, {"text_head": "text_head", "image_head": "image_head"})
+        temperature = doc.get("temperature")
+        if type(temperature) not in (int, float):  # refuses true and "0.5", which float() would take
+            raise DataError(f"temperature must be a number, found {temperature!r}")
+        try:
+            model = AlignmentModel(*heads, temperature=float(temperature))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise DataError(f"temperature {exc}") from exc
+        except UsageError as exc:  # heads that disagree, or a temperature not positive and finite
+            raise DataError(str(exc)) from exc
+        _check_declared(doc, model, ("unified_dim", "text_input_dim", "image_input_dim"), "its heads give")
     return model
 
 
@@ -414,12 +375,13 @@ def save_pair_head(head: PairHead, path: str | Path, seed: int | None = None) ->
 
 
 def load_pair_head(path: str | Path) -> PairHead:
-    doc, payload = _read_doc(path, "pair_head", "pair head")
-    try:
-        head = PairHead(*_mlps_from(doc, payload, path, {"mlp": "pair head"}))
-    except DimensionError as exc:  # not 4*d inputs, or not one output
-        raise DataError(f"{path}: pair head: {exc}") from exc
-    _check_declared(doc, path, head, ("embedding_dim",), "its head gives")
+    with in_file(path):
+        doc, payload = _read_doc(path, "pair_head")
+        try:
+            head = PairHead(*_mlps_from(doc, payload, {"mlp": "pair head"}))
+        except DimensionError as exc:  # not 4*d inputs, or not one output
+            raise DataError(f"pair head: {exc}") from exc
+        _check_declared(doc, head, ("embedding_dim",), "its head gives")
     return head
 
 
@@ -432,18 +394,16 @@ def save_index(index: UnifiedIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> UnifiedIndex:
     """Reload an index verbatim (no renormalization, so round-trips are exact);
-    `UnifiedIndex` checks the entries, and its errors gain the path."""
-    doc, vectors = _read_doc(path, "unified_index", "index")
-    ids, modalities = doc.get("ids"), doc.get("modalities")
-    if not (_is_str_list(ids) and _is_str_list(modalities)):
-        raise DataError(f"{path}: ids and modalities must be lists of strings")
-    if not (vectors.ndim == 2 and vectors.shape[0] == len(ids) == len(modalities)):
-        raise DataError(f"{path}: payload shape {list(vectors.shape)} does not match "
-                        f"{len(ids)} ids and {len(modalities)} modalities")
-    try:
+    `UnifiedIndex` checks the entries."""
+    with in_file(path):
+        doc, vectors = _read_doc(path, "unified_index")
+        ids, modalities = doc.get("ids"), doc.get("modalities")
+        if not (_is_str_list(ids) and _is_str_list(modalities)):
+            raise DataError("ids and modalities must be lists of strings")
+        if not (vectors.ndim == 2 and vectors.shape[0] == len(ids) == len(modalities)):
+            raise DataError(f"payload shape {list(vectors.shape)} does not match "
+                            f"{len(ids)} ids and {len(modalities)} modalities")
         return UnifiedIndex(ids=tuple(ids), modalities=tuple(modalities), vectors=vectors)
-    except CardlError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _is_str_list(value) -> bool:
@@ -472,25 +432,24 @@ def save_report(reports: Mapping[str, EvalReport], path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> dict[str, EvalReport]:
-    doc, _ = _read_doc(path, "retrieval_report", "report")
-    directions = doc.get("directions", {})
-    if not isinstance(directions, dict):
-        raise DataError(f"{path}: directions must be an object, got {type(directions).__name__}")
-    reports = {}
-    for direction, body in directions.items():
-        try:
-            reports[direction] = EvalReport(
-                direction=direction,
-                map_at={int(k): v for k, v in body["map_at"].items()},
-                ap_per_query={
-                    int(k): dict(per) for k, per in body["ap_per_query"].items()
-                },
-                evaluated=int(body["evaluated"]),
-                skipped=int(body["skipped"]),
-                ap_convention=doc.get("ap_convention", AP_CONVENTION),
-            )
-        except (KeyError, AttributeError, TypeError, ValueError, DataError) as exc:
-            raise DataError(f"{path}: direction {direction!r} is malformed: {exc!r}") from exc
+    with in_file(path):
+        doc, _ = _read_doc(path, "retrieval_report")
+        directions = doc.get("directions", {})
+        if not isinstance(directions, dict):
+            raise DataError(f"directions must be an object, got {type(directions).__name__}")
+        reports = {}
+        for direction, body in directions.items():
+            try:
+                reports[direction] = EvalReport(
+                    direction=direction,
+                    map_at={int(k): v for k, v in body["map_at"].items()},
+                    ap_per_query={int(k): dict(per) for k, per in body["ap_per_query"].items()},
+                    evaluated=int(body["evaluated"]),
+                    skipped=int(body["skipped"]),
+                    ap_convention=doc.get("ap_convention", AP_CONVENTION),
+                )
+            except (KeyError, AttributeError, TypeError, ValueError, DataError) as exc:
+                raise DataError(f"direction {direction!r} is malformed: {exc!r}") from exc
     return reports
 
 
@@ -583,27 +542,17 @@ def generate_synthetic(
     they are drawn from the seed.
     """
     rng = seeded_rng(config.seed)
-    centers = rng.normal(size=(config.clusters, config.latent_dim))
-    if text_map is None:
-        text_map = rng.normal(size=(config.text_dim, config.latent_dim))
-    else:
-        text_map = np.asarray(text_map, dtype=np.float64)
-    if image_map is None:
-        image_map = rng.normal(size=(config.image_dim, config.latent_dim))
-    else:
-        image_map = np.asarray(image_map, dtype=np.float64)
-    for name, mat, rows in (
-        ("text_map", text_map, config.text_dim),
-        ("image_map", image_map, config.image_dim),
-    ):
-        if mat.shape != (rows, config.latent_dim):
-            raise UsageError(
-                f"{name} must have shape ({rows}, {config.latent_dim}), got {mat.shape}"
-            )
-        if np.linalg.matrix_rank(mat) < config.latent_dim:
+    per, latent, text_dim = config.pairs_per_cluster, config.latent_dim, config.text_dim
+    centers = rng.normal(size=(config.clusters, latent))
+    # a map that is not given is drawn, the text map first
+    text_map = rng.normal(size=(text_dim, latent)) if text_map is None else np.asarray(text_map, np.float64)
+    image_map = rng.normal(size=(config.image_dim, latent)) if image_map is None else np.asarray(image_map, np.float64)
+    for name, mat, rows in (("text_map", text_map, text_dim), ("image_map", image_map, config.image_dim)):
+        if mat.shape != (rows, latent):
+            raise UsageError(f"{name} must have shape ({rows}, {latent}), got {mat.shape}")
+        if np.linalg.matrix_rank(mat) < latent:
             raise NumericError(f"{name} is rank-deficient; latent recovery impossible")
 
-    per, latent, text_dim = config.pairs_per_cluster, config.latent_dim, config.text_dim
     total = config.clusters * per
     width = max(4, len(str(total - 1)))
     tids, iids = ([f"{side}{k:0{width}d}" for k in range(total)] for side in "ti")
@@ -655,11 +604,8 @@ def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as the NumericError alone
         for modality in MODALITIES:
             head = model.head_for(modality)
-            dim = head.input_dim
             rows = [k for k, r in enumerate(records) if r.modality == modality]
-            wrong = next((records[k] for k in rows if records[k].dim != dim), None)
-            if wrong is not None:
-                raise DataError(f"record {wrong.id!r}: {modality} vector has dim {wrong.dim}, model expects {dim}")
+            check_fits((records[k] for k in rows), modality, head.input_dim)
             for lo in range(0, len(rows), MAX_BLOCK_ROWS):
                 block = rows[lo : lo + MAX_BLOCK_ROWS]
                 ids = [records[k].id for k in block]

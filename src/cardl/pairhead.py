@@ -29,13 +29,15 @@ def combine_pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class PairExample:
+    """Two embeddings and whether they match; it owns float64 copies of them, as a FeatureRecord does."""
+
     x: np.ndarray
     y: np.ndarray
     relevant: bool
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        self.x = np.array(self.x, dtype=np.float64)
+        self.y = np.array(self.y, dtype=np.float64)
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise DimensionError(
                 f"pair vectors must be 1-D and equal dim, got {self.x.shape} and {self.y.shape}"

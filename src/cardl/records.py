@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +69,16 @@ class FeatureRecord:
     @property
     def dim(self) -> int:
         return self.vector.size
+
+
+def check_fits(records: Iterable[FeatureRecord], modality: str, dim: int) -> None:
+    """The one rule for a record that goes through a model head: a DataError
+    naming the first record that is not a `modality` vector of `dim` entries."""
+    for record in records:
+        if record.modality != modality:
+            raise DataError(f"record {record.id!r}: {record.modality} vector where the model expects {modality}")
+        if record.dim != dim:
+            raise DataError(f"record {record.id!r}: {modality} vector has dim {record.dim}, model expects {dim}")
 
 
 def opposite_modality(modality: str) -> str:

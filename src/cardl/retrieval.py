@@ -123,7 +123,7 @@ import numpy as np
 
 from .alignment import AlignmentModel, _dot_norms, l2_normalize, project
 from .errors import DataError, DimensionError, NumericError, UsageError
-from .records import IMAGE, MODALITIES, TEXT, FeatureRecord
+from .records import IMAGE, MODALITIES, TEXT, FeatureRecord, check_fits
 
 TXT2IMG = "txt2img"
 IMG2TXT = "img2txt"
@@ -488,10 +488,8 @@ def _project_queries(model: AlignmentModel, queries: list[FeatureRecord], direct
     source = DIRECTION_SIDES[direction][0]
     wrong = next((q for q in queries if q.modality != source), None)
     if wrong is not None:
-        raise UsageError(
-            f"direction {direction} takes a {source} query, got modality "
-            f"{wrong.modality!r} (id {wrong.id!r})"
-        )
-    if len({q.dim for q in queries}) > 1:  # one dim that is wrong is named by mlp_forward
-        raise DimensionError(f"{source} queries mix dims {sorted({q.dim for q in queries})}")
-    return project(model.head_for(source), np.array([q.vector for q in queries]), ids=[q.id for q in queries])
+        raise UsageError(f"direction {direction} takes a {source} query, "
+                         f"got modality {wrong.modality!r} (id {wrong.id!r})")
+    head = model.head_for(source)
+    check_fits(queries, source, head.input_dim)
+    return project(head, np.array([q.vector for q in queries]), ids=[q.id for q in queries])

@@ -25,12 +25,18 @@ def edit_file(path, value, *, header=None, payload=None):
     doc, data = read_file(path)
     if payload is not None:
         data[payload] = value
-    elif not header:
-        doc = value
     else:
-        parent = doc
-        for key in header[:-1]:
-            parent = parent[key]
-        parent[header[-1]] = value
+        doc = set_at(doc, header or [], value)
     tail = b"" if data is None else data.tobytes()
     path.write_bytes((json.dumps(doc) + "\n").encode() + tail)
+
+
+def set_at(doc, keys, value):
+    """`doc` with the value at a path of keys set (an empty path replaces the whole of it)."""
+    if not keys:
+        return value
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return doc

@@ -16,14 +16,15 @@ from cardl import cli
 from cardl.alignment import PairedExample, TrainConfig, fit, linear_model
 from cardl.cli import _parse_int_list, build_parser, cli_main
 from cardl.dataio import (
-    SyntheticConfig, load_features, load_index, load_model, load_report, save_features, save_index, save_model,
-    save_pair_head, unified_records,
+    SyntheticConfig, load_features, load_index, load_model, load_pair_head, load_report, save_features, save_index,
+    save_model, save_pair_head, unified_records,
 )
+from cardl.errors import CardlError
 from cardl.evaluation import DEFAULT_K_LIST
 from cardl.pairhead import PairExample, fit_pair_head
 from cardl.records import FeatureRecord
 from cardl.retrieval import build_index
-from fileedit import edit_file, read_file
+from fileedit import edit_file, read_file, set_at
 from test_acceptance import run_pipeline
 
 
@@ -265,9 +266,31 @@ def test_exit_code_matches_the_error_class(tmp_path, capsys, argv, edit, code):
         assert str(files["model"]) in capsys.readouterr().err
 
 
-# the fixed replacement pool of the file fuzz (ROADMAP item 4)
+# the fixed replacement pools of the file fuzz (ROADMAP item 4): JSON values, payload floats and TSV cells
 FUZZ_POOL = [None, True, False, 0, -0.0, 1e308, float("nan"), "", "text", "image", "t0000", "zz",
              [], {}, [[1, [2.0]], []]]
+PAYLOAD_POOL = [float("nan"), float("inf"), -float("inf"), 1e308, 0.0, 2.0]
+CELL_POOL = ["", " ", "t0000", "t0001", "i0000", "i0001", "zz", "0", "1", "2", "a\tb"]
+
+FUZZ_QUERY = ["query", "--index", "{index}", "--id", "t0000", "--direction", "txt2img"]
+FUZZ_FEATURES_QUERY = FUZZ_QUERY + ["--model", "{model}", "--features", "{texts}"]
+FUZZ_EMBED = ["embed", "--model", "{model}", "--features", "{texts}", "--out", "{out}"]
+FUZZ_EVAL = ["eval", "--index", "{index}", "--model", "{model}", "--text-features", "{texts}",
+             "--image-features", "{images}", "--pairs", "{pairs}"]
+FUZZ_TRAIN = ["train", "--text-features", "{texts}", "--image-features", "{images}", "--pairs", "{pairs}",
+              "--epochs", "1", "--hidden-dims", "", "--unified-dim", "2", "--out", "{out}"]
+FUZZ_PAIRHEAD = ["pairhead-train", "--features", "{unified}", "--pairs", "{pairs}", "--epochs", "1", "--out", "{out}"]
+
+# what reads each file of the fuzz corpus: commands, or the loader of a file no command reads
+READERS = {
+    "index": [FUZZ_QUERY, FUZZ_FEATURES_QUERY, FUZZ_EVAL],
+    "model": [FUZZ_FEATURES_QUERY, FUZZ_EMBED, FUZZ_EVAL],
+    "texts": [FUZZ_FEATURES_QUERY, FUZZ_EMBED, FUZZ_EVAL, FUZZ_TRAIN],
+    "pairs": [FUZZ_EVAL, FUZZ_TRAIN, FUZZ_PAIRHEAD],
+    "qrels": [FUZZ_EVAL + ["--qrels", "{qrels}"]],
+    "pair_head": [load_pair_head],
+    "report": [load_report],
+}
 
 
 def header_paths(node, path=()):
@@ -278,19 +301,122 @@ def header_paths(node, path=()):
         yield from header_paths(child, path + (key,))
 
 
+def fuzz_files(base, **replaced):
+    """The path of each file of the fuzz corpus, with some replaced."""
+    names = {"index": "index.json", "model": "oracle_model.json", "texts": "text_features.jsonl",
+             "images": "image_features.jsonl", "pairs": "pairs.tsv", "qrels": "qrels.tsv",
+             "unified": "unified.jsonl", "pair_head": "pair_head.json", "report": "report.json", "out": "out.json"}
+    return {**{key: base / name for key, name in names.items()}, **replaced}
+
+
 @pytest.fixture(scope="module")
 def fuzz_corpus(tmp_path_factory):
-    """A tiny corpus, its oracle model and a valid index of both sides."""
+    """A tiny corpus, its oracle model, a valid index of both sides, a pair
+    head and a report; and for the cross-file faults, a corpus of another
+    text dim, one of another unified dim, and the raw text and image records
+    in one file."""
     base = tmp_path_factory.mktemp("fuzz")
-    assert run(["synth", "--out-dir", base, "--clusters", "2", "--pairs-per-cluster", "3", "--text-dim", "3",
-                "--image-dim", "4", "--latent-dim", "2", "--seed", "1"]) == 0
-    unified = base / "unified.jsonl"
+    corpus = ["--clusters", "2", "--pairs-per-cluster", "3", "--image-dim", "4", "--seed", "1"]
+    assert run(["synth", "--out-dir", base, "--text-dim", "3", "--latent-dim", "2", *corpus]) == 0
+    assert run(["synth", "--out-dir", base / "dim5", "--text-dim", "5", "--latent-dim", "2", *corpus]) == 0
+    assert run(["synth", "--out-dir", base / "unified3", "--text-dim", "3", "--latent-dim", "3", *corpus]) == 0
+    files = fuzz_files(base)
     for side in ("text", "image"):
-        assert run(["embed", "--model", base / "oracle_model.json",
+        assert run(["embed", "--model", files["model"],
                     "--features", base / f"{side}_features.jsonl", "--out", base / f"u_{side}.jsonl"]) == 0
-    unified.write_text((base / "u_text.jsonl").read_text() + (base / "u_image.jsonl").read_text())
-    assert run(["index", "--vectors", unified, "--out", base / "index.json"]) == 0
+    files["unified"].write_text((base / "u_text.jsonl").read_text() + (base / "u_image.jsonl").read_text())
+    (base / "raw.jsonl").write_text(files["texts"].read_text() + files["images"].read_text())
+    assert run(["index", "--vectors", files["unified"], "--out", files["index"]]) == 0
+    assert run([arg.format(**files) for arg in FUZZ_PAIRHEAD[:-1]] + [files["pair_head"]]) == 0
+    assert run([arg.format(**files) for arg in FUZZ_EVAL] + ["--out", files["report"]]) == 0
     return base
+
+
+def damage(path, data) -> tuple:
+    """Make one edit to a file: a header leaf or payload cell of a versioned
+    file, a cell of a TSV file, or a leaf or the whole object of one line of
+    a feature file.  Returns the key path of a JSON edit, else ()."""
+    if path.suffix == ".json":
+        header, payload = read_file(path)
+        if payload is None or data.draw(st.booleans(), label="in the header"):
+            keys = data.draw(st.sampled_from(sorted(header_paths(header), key=repr)), label="header path")
+            edit_file(path, data.draw(st.sampled_from(FUZZ_POOL), label="value"), header=list(keys))
+            return keys
+        where = data.draw(st.tuples(*(st.integers(0, n - 1) for n in payload.shape)), label="payload index")
+        edit_file(path, data.draw(st.sampled_from(PAYLOAD_POOL), label="value"), payload=where)
+        return ()
+    lines = path.read_text().splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    keys = ()
+    if path.suffix == ".tsv":
+        cells = lines[k].split("\t")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(st.sampled_from(CELL_POOL))
+        lines[k] = "\t".join(cells)
+    else:
+        record = json.loads(lines[k])
+        keys = data.draw(st.sampled_from([(), *header_paths(record)]), label="key path")
+        lines[k] = json.dumps(set_at(record, list(keys), data.draw(st.sampled_from(FUZZ_POOL), label="value")))
+    path.write_text("\n".join(lines) + "\n")
+    return keys
+
+
+@pytest.mark.parametrize("kind", READERS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_damaged_file_exits_with_its_error_class_naming_the_file(fuzz_corpus, tmp_path_factory, kind, data):
+    """One edit to one file of a valid corpus: every reader of it exits 0-3
+    with no warning, and a failure names the damaged file; or, where a feature
+    file's id or modality changed, the pairs file that still refers to it."""
+    files = fuzz_files(fuzz_corpus)
+    damaged = tmp_path_factory.mktemp("damaged") / files[kind].name
+    damaged.write_bytes(files[kind].read_bytes())
+    keys = damage(damaged, data)
+    named = [damaged, files["pairs"]] if kind == "texts" and keys in (("id",), ("modality",)) else [damaged]
+    for reader in READERS[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning on stderr either
+            if callable(reader):
+                try:
+                    reader(damaged)
+                    code = 0
+                except CardlError as exc:
+                    code = exc.exit_code
+                    err.write(str(exc))
+            else:
+                code = run([arg.format(**{**files, kind: damaged}) for arg in reader])
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            assert any(str(path) in err.getvalue() for path in named), (reader, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv, replaced, named, message",
+    [
+        (FUZZ_EVAL, {"texts": "dim5/text_features.jsonl"}, ["texts"],
+         "record 't0000': text vector has dim 5, model expects 3"),
+        (FUZZ_FEATURES_QUERY, {"texts": "dim5/text_features.jsonl"}, ["texts"],
+         "record 't0000': text vector has dim 5, model expects 3"),
+        (FUZZ_EMBED, {"texts": "dim5/text_features.jsonl"}, ["texts"],
+         "record 't0000': text vector has dim 5, model expects 3"),
+        (FUZZ_EVAL, {"model": "unified3/oracle_model.json"}, ["model", "index"],
+         "model unified dim 3 does not match index dim 2"),
+        (FUZZ_FEATURES_QUERY, {"model": "unified3/oracle_model.json"}, ["model", "index"],
+         "model unified dim 3 does not match index dim 2"),
+        (FUZZ_PAIRHEAD, {"unified": "raw.jsonl"}, ["unified", "pairs"],
+         "pair 't0000' -> 'i0000' joins a text vector of dim 3 and an image vector of dim 4; a pair head needs one dim"),
+        (FUZZ_EVAL, {"texts": "image_features.jsonl", "images": "text_features.jsonl"}, ["texts"],
+         "record 'i0000': image vector where the model expects text"),
+    ],
+    ids=["eval, text dim", "query --features, text dim", "embed, text dim", "eval, model dim",
+         "query --features, model dim", "pairhead-train, text and image dims", "eval, an image record as text"],
+)
+def test_a_file_that_does_not_fit_another_is_a_data_error_naming_it(fuzz_corpus, capsys, argv, replaced, named,
+                                                                     message):
+    files = fuzz_files(fuzz_corpus, **{key: fuzz_corpus / name for key, name in replaced.items()})
+    assert run([arg.format(**files) for arg in argv]) == 2
+    where = ", ".join(str(files[key]) for key in named)
+    assert capsys.readouterr().err == f"cardl: error: {where}: {message}\n"
 
 
 def test_a_projection_that_overflows_is_a_numeric_error_naming_the_record_and_the_model(tmp_path, capsys):
@@ -312,39 +438,9 @@ def test_a_projection_that_overflows_is_a_numeric_error_naming_the_record_and_th
     ):
         assert run(argv) == 3  # a RuntimeWarning would raise here instead
         err = capsys.readouterr().err
-        assert "cannot normalize non-finite projection (t0)" in err and f"through the model {model}" in err
+        assert f"{model}, {texts}: cannot normalize non-finite projection (t0)" in err
     assert run(query + ["t1"]) == 0
     assert capsys.readouterr().out == "1\ti0\t0.000000\n"
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_a_damaged_index_file_exits_with_its_error_class_naming_the_file(fuzz_corpus, tmp_path_factory, data):
-    base = fuzz_corpus
-    index = tmp_path_factory.mktemp("damaged") / "index.json"
-    index.write_bytes((base / "index.json").read_bytes())
-    header, payload = read_file(index)
-    if data.draw(st.booleans(), label="in the header"):
-        path = data.draw(st.sampled_from(sorted(header_paths(header), key=repr)), label="header path")
-        edit_file(index, data.draw(st.sampled_from(FUZZ_POOL), label="value"), header=list(path))
-    else:
-        where = data.draw(st.tuples(*(st.integers(0, n - 1) for n in payload.shape)), label="payload index")
-        value = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 0.0, 2.0]))
-        edit_file(index, value, payload=where)
-    model, texts = base / "oracle_model.json", base / "text_features.jsonl"
-    for argv in (
-        ["query", "--index", index, "--id", "t0000", "--direction", "txt2img"],
-        ["query", "--index", index, "--id", "t0000", "--direction", "txt2img", "--model", model, "--features", texts],
-        ["eval", "--index", index, "--model", model, "--text-features", texts,
-         "--image-features", base / "image_features.jsonl", "--pairs", base / "pairs.tsv"],
-    ):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # no numpy warning on stderr either
-            code = run(argv)
-        assert code in (0, 1, 2, 3)
-        if code != 0:
-            assert str(index) in err.getvalue(), (argv[0], err.getvalue())
 
 
 def test_train_determinism_across_invocations(synth_dir, tmp_path):
@@ -698,9 +794,9 @@ def test_a_query_of_the_wrong_side_names_the_file_that_gave_its_modality(tmp_pat
     features.write_text(json.dumps({"id": "i0", "modality": "image", "vector": [0.6, 0.8]}) + "\n")
     base = ["query", "--index", index_path, "--id", "i0", "--direction", "txt2img"]
     assert run(base) == 1
-    assert f"id 'i0' is image in the index {index_path}" in capsys.readouterr().err
+    assert f"{index_path}: direction txt2img takes a text query, but id 'i0' is image" in capsys.readouterr().err
     assert run(base + ["--model", model_path, "--features", features]) == 1
-    assert f"id 'i0' is image in the feature file {features}" in capsys.readouterr().err
+    assert f"{features}: direction txt2img takes a text query, but id 'i0' is image" in capsys.readouterr().err
 
 
 def test_embed_names_the_feature_file_of_a_record_that_does_not_fit_its_head(synth_dir, tmp_path, capsys):

@@ -85,6 +85,14 @@ def test_pair_example_refuses_empty_or_non_finite_vectors(x, y):
         PairExample(x, y, relevant=True)
 
 
+def test_a_pair_example_owns_its_vectors():
+    """A later write to the arrays it was given cannot slip a NaN past its check."""
+    x, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+    example = PairExample(x, y, relevant=True)
+    x[0] = y[0] = np.nan
+    assert example.x.tolist() == [0.0, 1.0] and example.y.tolist() == [1.0, 0.0]
+
+
 # --------------------------------------------------------------- head shape --
 
 def test_pair_head_shape_rules():
