@@ -24,7 +24,7 @@ from .alignment import TrainConfig, fit, seeded_rng
 from .errors import CardlError, DataError, NumericError, UsageError, in_file
 from .evaluation import DEFAULT_K_LIST, evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
-from .records import TEXT, check_fits
+from .records import TEXT
 from .retrieval import DIRECTION_SIDES, DIRECTIONS, cross_media_search, query_topk
 
 
@@ -227,8 +227,7 @@ def _cmd_eval(args) -> int:
         queries, path = (text_records, args.text_features) if source == TEXT else (image_records, args.image_features)
         if not len(index.sides[target].rows):  # evaluate_retrieval's rule, naming the file
             raise DataError(f"index has no candidates for direction {direction}", path=args.index)
-        with _projecting_through(args.model, path):
-            check_fits(queries, source, model.head_for(source).input_dim)  # each record of the file, judged or not
+        with _projecting_through(args.model, path):  # a record that does not fit names the file
             reports[direction] = evaluate_retrieval(
                 model, index, queries, qrels, k_list=k_list, direction=direction
             )

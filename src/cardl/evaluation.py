@@ -22,7 +22,7 @@ import numpy as np
 
 from .alignment import AlignmentModel
 from .errors import DataError, UsageError
-from .records import FeatureRecord
+from .records import FeatureRecord, check_fits
 from .retrieval import (
     DIRECTION_SIDES,
     DIRECTIONS,
@@ -97,16 +97,19 @@ def evaluate_retrieval(
 ) -> EvalReport:
     """Run cross-media search for every judged query at each k and aggregate.
 
-    Queries are processed in ascending id order so the reduction is
-    deterministic regardless of input order.  All are projected and searched
-    in one batch each, and every run equals that query's `cross_media_search`
-    result.
+    Every query record, judged or not, must fit the direction's head: the
+    first that does not is a DataError naming it.  Queries are processed in
+    ascending id order so the reduction is deterministic regardless of input
+    order.  All are projected and searched in one batch each, and every run
+    equals that query's `cross_media_search` result.
     """
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
         raise UsageError(f"k_list must contain positive cutoffs, got {k_list}")
+    source = DIRECTION_SIDES[direction][0]
+    check_fits(queries, source, model.head_for(source).input_dim)
 
     ordered = sorted(queries, key=lambda r: r.id)
     judged = [(record, qrels[record.id]) for record in ordered if qrels.get(record.id)]

@@ -7,11 +7,12 @@ float64 `np.dot` per candidate, clipped to [-1, 1], then a full sort) in
 ids, tie order and score bits.
 
 A search reads one side of the index, `UnifiedIndex.sides[modality]`: the
-modality's rows in id order, their float32 copy and their blocks.  One
-kernel, `_topk_arrays`, answers a block of queries in four steps: the
+modality's rows in id order, their float32 copy and their blocks.
+`_topk_arrays` answers queries in blocks of rows, each in four steps: the
 "score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
 made exact by a rounding bound, after a ball bound drops rows that cannot
-reach the top-k:
+reach the top-k.  Steps 0-3 are written for `_topk_block`, the kernel of a
+block of two or more queries; a block of one takes `_topk_one` (step 4):
 
 0. Blocks: `UnifiedIndex` cuts each side's rows, in id order, into
    blocks of BOUND_BLOCK_ROWS, the last also holding the remainder.  A
@@ -41,13 +42,13 @@ reach the top-k:
    need-th largest lo, L: a query's k-th reference score is at least L.  A
    block whose hi is below L for every query of the block holds only rows
    that score below each query's k-th score, none in a top-k or tied with
-   its k-th, so it is dropped.  The code keeps a block where s + M >=
-   min(l, 1), l being the need-th largest s - M, and keeps every block
-   where l <= -1: the same test, with no clip of the (queries, blocks)
-   bounds.  Steps 1-3 then run on the rows of the kept blocks, gathered in
-   id order from the side's float32 copy; they hold every row scoring at
-   least the k-th score, and at least kk rows, which is all that the
-   argument of step 2 needs.
+   its k-th, so it is dropped.  The code (`_kept_blocks`, `_block_floor`)
+   keeps a block where s + M >= min(l, 1), l being the need-th largest
+   s - M, and keeps every block where l <= -1: the same test, with no clip
+   of the (queries, blocks) bounds.  Steps 1-3 then run on the rows of the
+   kept blocks, gathered in id order from the side's float32 copy; they
+   hold every row scoring at least the k-th score, and at least kk rows,
+   which is all that the argument of step 2 needs.
    A drop needs hi_b < lo_b' for some blocks b and b', so rho_b + rho_b' <
    ||c_b|| + ||c_b'|| <= 2C.  Where every radius is at least C (rows with no
    cluster structure in id order) no block could ever be dropped, and the
@@ -109,6 +110,24 @@ reach the top-k:
    id order.  A band holds at least kk = min(k, candidates) rows, so one
    fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
    run starts, gives the results as (queries, kk) arrays of rows and scores.
+4. One query: the size of a block alone selects its kernel.  A block of one
+   query (every `query_topk` and `cross_media_search` call, and a batch's
+   last block when one query is left for it) takes `_topk_one`; a block of
+   more keeps `_topk_block`, whose one matrix product per screen serves the
+   whole block faster than a `_topk_one` call per row.  `_topk_one` shares
+   every bound and rule of steps 0-3 with `_topk_block` through the same
+   helpers: m (`_screen_margin`), M (`_block_widths`, `_block_margin`), the
+   float32 ceiling and the floor at or below -1 (`_ceil32`, `_floor32`),
+   and the keep rule and the 3/4 rule (`_kept_blocks`, `_block_floor`).  It
+   differs only in form.  Its norm, L, k-th screened score and band floor
+   are Python floats, and its centre screen and row screen are 1-D float32
+   products.  It gathers the kept blocks through a (blocks,
+   BOUND_BLOCK_ROWS, d) view of the side's float32 copy, with the
+   remainder rows after the last block when that block stays, and maps a
+   band position p back to the side as p + (keep[b] - b) * BOUND_BLOCK_ROWS,
+   b = min(p // BOUND_BLOCK_ROWS, kept blocks - 1).  Its band rows ascend by
+   id, so one stable argsort by -score orders them with ties in id order:
+   it needs no divmod, query key or searchsorted.
 
 `query_topk` wraps the single-row case into a `RetrievalResult` list;
 `evaluate_retrieval` scores AP from the arrays.
@@ -116,6 +135,7 @@ reach the top-k:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -351,7 +371,7 @@ def query_topk(
     rows, scores = _topk_arrays(index, np.asarray(q, dtype=np.float64)[None], k, filter_modality)
     ids = index.ids
     return [RetrievalResult(ids[row], score, rank)
-            for rank, (row, score) in enumerate(zip(rows[0].tolist(), scores[0].tolist()), start=1)]
+            for rank, row, score in zip(range(1, rows.shape[1] + 1), rows[0].tolist(), scores[0].tolist())]
 
 
 def _topk_arrays(
@@ -367,9 +387,8 @@ def _topk_arrays(
     queries = np.asarray(queries, dtype=np.float64)
     side = index.sides[filter_modality]
     kk = min(k, len(side.rows))
-    rows, scores = np.zeros((len(queries), kk), dtype=np.intp), np.zeros((len(queries), kk))
     if len(index) == 0:
-        return rows, scores
+        return np.zeros((len(queries), 0), dtype=np.intp), np.zeros((len(queries), 0))
     if queries.ndim != 2 or queries.shape[1] != index.dimension:
         raise DimensionError(
             f"query dim {queries.shape[1:]} does not match index dim ({index.dimension},)"
@@ -378,11 +397,16 @@ def _topk_arrays(
     if not finite.all():
         raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
     unit = l2_normalize(queries)
-    block = max(1, SCORE_BLOCK_BYTES // (8 * max(1, len(side.rows))))
-    for start in range(0, len(unit) if kk else 0, block):  # kk == 0: no candidates, every run is empty
-        block_rows = slice(start, start + block)
-        rows[block_rows], scores[block_rows] = _topk_block(index, side, unit[block_rows], kk)
-    return rows, scores
+    if kk == 0:  # no candidates: every run is empty
+        return np.zeros((len(unit), 0), dtype=np.intp), np.zeros((len(unit), 0))
+    step = max(1, SCORE_BLOCK_BYTES // (8 * len(side.rows)))
+    # a block's size selects its kernel: one query takes `_topk_one`, more take `_topk_block`
+    runs = [_topk_one(index, side, block[0], kk) if len(block) == 1 else _topk_block(index, side, block, kk)
+            for block in (unit[start:start + step] for start in range(0, len(unit), step))]
+    if len(runs) == 1:
+        return runs[0]
+    rows, scores = zip(*runs)
+    return np.concatenate(rows), np.concatenate(scores)
 
 
 def _gamma(n: int, u: float) -> float:
@@ -396,8 +420,8 @@ def _screen_relative_error(d: int) -> float:
     return (2 * u + u * u) + _gamma(d + 1, u) * (1 + u) ** 2 + _gamma(d, _F64_ROUNDOFF)
 
 
-def _screen_margin(d: int, max_norm: float, q_norms: np.ndarray) -> np.ndarray:
-    """m = 2E of the module docstring, per query."""
+def _screen_margin(d: int, max_norm: float, q_norms: np.ndarray | float) -> np.ndarray | float:
+    """m = 2E of the module docstring, per query, or for one query's float norm."""
     return 2 * (_screen_relative_error(d) * max_norm * q_norms + 4 * d * _F32_UNDERFLOW)
 
 
@@ -406,57 +430,76 @@ def _block_widths(d: int, max_norm: float, centre_norm: float, radii: np.ndarray
     return _screen_relative_error(d) * centre_norm + (1 + _F32_ROUNDOFF) * radii + _gamma(d, _F64_ROUNDOFF) * max_norm
 
 
-def _block_margin(d: int, widths: np.ndarray, q_norms: np.ndarray) -> np.ndarray:
-    """M of the module docstring, step 0, per query and block."""
-    return q_norms[:, None] * widths + 4 * d * _F32_UNDERFLOW
+def _block_margin(d: int, widths: np.ndarray, q_norms: np.ndarray | float) -> np.ndarray:
+    """M of the module docstring, step 0: per block for one query's norm, or per query and block
+    for a column of norms."""
+    return q_norms * widths + 4 * d * _F32_UNDERFLOW
 
 
-def _ceil32(values: np.ndarray) -> np.ndarray:
-    """The least float32 at or above each float64 value: a float32 s is >= v
-    exactly when s >= _ceil32(v), under NEP 50 and legacy casting alike."""
-    up = values.astype(np.float32)  # the nearest float32, which may lie below
+def _ceil32(values: np.ndarray | float) -> np.ndarray | np.float32:
+    """The least float32 at or above each float64 value, or at or above one float: a float32 s
+    is >= v exactly when s >= _ceil32(v), under NEP 50 and legacy casting alike."""
+    up = np.float32(values)  # the nearest float32, which may lie below
+    if isinstance(values, float):
+        return up if float(up) >= values else np.nextafter(up, np.float32(np.inf))
     np.nextafter(up, np.float32(np.inf), out=up, where=up < values)
     return up
 
 
-def _band_floors(index: UnifiedIndex, q_norms: np.ndarray, kth: np.ndarray) -> np.ndarray:
-    """Each query's float32 band floor (module docstring, step 2) from its norm and k-th screened score."""
-    margins = _screen_margin(index.dimension, index.max_norm, q_norms)
-    floors = kth.clip(-1.0, 1.0).astype(np.float64) - margins
+def _floor32(floors: np.ndarray | float) -> np.ndarray | np.float32:
+    """The float32 band floor of each float64 floor t - m, or of one float (module docstring,
+    step 2): its `_ceil32`, or the lowest float32, admitting every candidate, where it is at
+    most -1, since every clipped screen is at least -1."""
     floors32 = _ceil32(floors)
-    floors32[floors <= -1.0] = _F32_LOWEST  # every candidate: its clipped screen is >= -1
+    if isinstance(floors, float):
+        return floors32 if floors > -1.0 else _F32_LOWEST
+    floors32[floors <= -1.0] = _F32_LOWEST
     return floors32
 
 
-def _kept_rows(side: Side, unit32: np.ndarray, q_norms: np.ndarray, kk: int) -> np.ndarray | None:
-    """The offsets into the side, ascending, of every block whose upper bound reaches some query's floor L
-    (module docstring, step 0), or None to screen the whole side: where there are no blocks or over 3/4
-    of them stay."""
-    blocks, size = side.blocks, BOUND_BLOCK_ROWS
-    need = -(-kk // size)  # `need` blocks of at least `size` rows hold kk rows
+def _block_floor(best: float) -> float:
+    """The floor that a block's upper bound s + M must reach to stay, for a query whose need-th
+    best lower bound is `best` (module docstring, step 0): L = min(best, 1), or -inf, keeping
+    every block, where best is at most -1."""
+    return min(best, 1.0) if best > -1.0 else -math.inf
+
+
+def _kept_blocks(side: Side, unit32: np.ndarray, q_norms: np.ndarray | float, kk: int) -> np.ndarray | None:
+    """The blocks of the side, ascending, whose upper bound reaches some query's floor (module
+    docstring, step 0), for one query (1-D `unit32`, a float norm) or a block of them, or None to
+    screen the whole side: where there are no blocks or over 3/4 of them stay."""
+    blocks = side.blocks
+    need = -(-kk // BOUND_BLOCK_ROWS)  # `need` blocks of at least BOUND_BLOCK_ROWS rows hold kk rows
     if blocks is None or need > len(blocks.centres):
         return None
+    one = unit32.ndim == 1
     centre = unit32 @ blocks.centres.T
-    margin = _block_margin(unit32.shape[1], blocks.widths, q_norms)
-    # the need-th best lower bound; L is it clipped to [-1, 1], and at -1 every block stays
-    best = (centre - margin).max(axis=1) if need == 1 else np.partition(centre - margin, -need, axis=1)[:, -need]
-    floors = np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
-    keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
+    margin = _block_margin(unit32.shape[-1], blocks.widths, q_norms if one else q_norms[:, None])
+    lower = centre - margin
+    best = lower.max(axis=-1) if need == 1 else np.partition(lower, -need, axis=-1)[..., -need]
+    if one:
+        keep = np.flatnonzero(centre + margin >= _block_floor(float(best)))
+    else:
+        floors = np.array([_block_floor(b) for b in best.tolist()])
+        keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
     if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the whole side
         return None
-    offsets = (keep[:, None] * size + np.arange(size)).ravel()
-    if keep[-1] == len(blocks.centres) - 1:  # the last block also holds the remainder
-        offsets = np.append(offsets, np.arange(len(blocks.centres) * size, len(side.rows)))
-    return offsets
+    return keep
 
 
 def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Screen, band and re-score one block of finite unit queries against a side (module docstring)
     for their kk best."""
     unit32, q_norms = unit.astype(np.float32), _dot_norms(unit)
-    kept = _kept_rows(side, unit32, q_norms, kk)
+    keep, kept = _kept_blocks(side, unit32, q_norms, kk), None
+    if keep is not None:  # the offsets into the side of the kept blocks' rows
+        count, size = len(side.blocks.centres), BOUND_BLOCK_ROWS
+        kept = (keep[:, None] * size + np.arange(size)).ravel()
+        if keep[-1] == count - 1:  # the last block also holds the remainder
+            kept = np.append(kept, np.arange(count * size, len(side.rows)))
     screened = unit32 @ (side.vectors32 if kept is None else np.take(side.vectors32, kept, axis=0)).T
-    floors32 = _band_floors(index, q_norms, np.partition(screened, -kk, axis=1)[:, -kk])
+    kth = np.partition(screened, -kk, axis=1)[:, -kk].clip(-1.0, 1.0).astype(np.float64)
+    floors32 = _floor32(kth - _screen_margin(index.dimension, index.max_norm, q_norms))
     query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), screened.shape[1])
     rows = side.rows[col if kept is None else kept[col]]
     # the reference's np.dot per row, as one stacked product, then its clip
@@ -466,6 +509,33 @@ def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> t
     # each query's run in `order` starts where its rows start in `query`
     best = order[query.searchsorted(np.arange(len(unit)))[:, None] + np.arange(kk)]
     return rows[best], scores[best]
+
+
+def _topk_one(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_topk_block` for a single finite unit query, as (1, kk) arrays: the same bounds and rules,
+    with its norm, floors and k-th screen as floats and 1-D screens (module docstring)."""
+    unit32, q_norm = unit.astype(np.float32), math.sqrt(unit @ unit)  # the bits of `_dot_norms`
+    keep, size = _kept_blocks(side, unit32, q_norm, kk), BOUND_BLOCK_ROWS
+    if keep is None:
+        candidates = side.vectors32
+    else:  # the kept blocks in id order, through a (blocks, size, d) view of the side
+        count = len(side.blocks.centres)
+        by_block = side.vectors32[: count * size].reshape(count, size, -1)
+        candidates = np.take(by_block, keep, axis=0).reshape(len(keep) * size, -1)
+        if keep[-1] == count - 1:  # the last block also holds the remainder
+            candidates = np.concatenate([candidates, side.vectors32[count * size:]])
+    screened = candidates @ unit32
+    kth = float(np.partition(screened, -kk)[-kk])
+    floor32 = _floor32(min(max(kth, -1.0), 1.0) - _screen_margin(index.dimension, index.max_norm, q_norm))
+    band = np.flatnonzero(screened >= floor32)
+    if keep is not None:  # positions in the gathered rows to offsets into the side
+        block = np.minimum(band // size, len(keep) - 1)
+        band += (keep[block] - block) * size
+    rows = side.rows[band]
+    # the reference's np.dot per row, as one stacked product, then its clip
+    scores = (index.vectors[rows][:, None, :] @ unit[:, None])[:, 0, 0].clip(-1.0, 1.0)
+    best = np.argsort(-scores, kind="stable")[:kk]  # rows ascend by id, so ties keep id order
+    return rows[best][None], scores[best][None]
 
 
 def cross_media_search(

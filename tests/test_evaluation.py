@@ -20,6 +20,7 @@ from cardl.evaluation import (
 )
 from cardl.records import FeatureRecord
 from cardl.retrieval import DIRECTION_SIDES, build_index, cross_media_search
+from kept import spy_kept_blocks
 
 
 def ap_oracle(flags, total_relevant):
@@ -190,6 +191,19 @@ def test_evaluate_skips_unjudged_queries():
     assert rep.map_at[1] == 1.0  # t2 no longer drags the mean down
 
 
+@pytest.mark.parametrize("judged", [False, True], ids=["unjudged", "judged"])
+@pytest.mark.parametrize("record, message", [
+    (FeatureRecord("i9", "image", np.array([1.0, 0.0])), "record 'i9': image vector where the model expects text"),
+    (FeatureRecord("t9", "text", np.ones(3)), "record 't9': text vector has dim 3, model expects 2"),
+], ids=["other modality", "other dim"])
+def test_a_query_record_that_does_not_fit_is_refused_whether_or_not_it_is_judged(judged, record, message):
+    index = build_index([("i0", "image", [1.0, 0.0]), ("t0", "text", [1.0, 0.0])])
+    queries = [FeatureRecord("t0", "text", np.array([1.0, 0.0])), record]
+    qrels = {"t0": {"i0"}, **({record.id: {"i0"}} if judged else {})}
+    with pytest.raises(DataError, match=f"^{message}$"):
+        evaluate_retrieval(linear_model(np.eye(2), np.eye(2)), index, queries, qrels, k_list=(1,), direction="txt2img")
+
+
 def test_evaluate_all_unjudged_is_an_error():
     model, index, texts, _ = planted_scenario()
     with pytest.raises(DataError):
@@ -273,14 +287,9 @@ def test_evaluate_on_a_blocked_index_equals_per_query_cross_media_search(directi
     index = build_index(unified_records(model, ds.text_records + ds.image_records))
     queries = ds.text_records if direction == "txt2img" else ds.image_records
     candidates = len(index.sides[DIRECTION_SIDES[direction][1]].rows)
-    real_kept_rows, kept = retrieval._kept_rows, []
-
-    def kept_rows(*args):
-        kept.append(real_kept_rows(*args))
-        return kept[-1]
-
+    kept = []
     with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * candidates * 12), \
-         mock.patch.object(retrieval, "_kept_rows", kept_rows):
+         mock.patch.object(retrieval, "_kept_blocks", spy_kept_blocks(kept)):
         rep = evaluate_retrieval(model, index, queries, ds.qrels, k_list=(1, 5, 10), direction=direction)
     assert len(kept) == len(queries) // 12 and all(rows is not None and len(rows) < candidates // 2 for rows in kept)
     for record in queries:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cardl import retrieval
@@ -24,6 +24,7 @@ from cardl.retrieval import (
     l2_normalize,
     query_topk,
 )
+from kept import spy_kept_blocks
 
 
 def brute_force_ranking(index, q, filter_modality):
@@ -423,19 +424,15 @@ def test_batched_topk_equals_per_row_full_sort(
         modalities = np.full(n, "image")
         modalities[text] = "text"
         vectors[text] = -queries[0] * rng.choice([2.0, 0.5, 1.0], (len(text), 1))
-    real_ceil32, real_margin, real_kept_rows = retrieval._ceil32, retrieval._screen_margin, retrieval._kept_rows
+    real_ceil32, real_margin = retrieval._ceil32, retrieval._screen_margin
     floors, kept = [], []
 
     def margin(*args):
         return real_margin(*args) + widen
 
-    def ceil32(values):
+    def ceil32(values):  # a float64 array from a block of queries, a float from one query
         floors.append((values, real_ceil32(values)))
         return floors[-1][1].copy()  # the kernel writes to the one it gets
-
-    def kept_rows(*args):
-        kept.append(real_kept_rows(*args))
-        return kept[-1]
 
     with mock.patch.object(retrieval, "BOUND_MIN_ROWS", retrieval.BOUND_BLOCK_ROWS):  # blocks for ~2,000 rows
         index = build_index([(f"e{i:05d}", modalities[i], vectors[i]) for i in range(n)])
@@ -444,7 +441,7 @@ def test_batched_topk_equals_per_row_full_sort(
         # shrink the score block so query blocks straddle the block boundary
         with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, candidates) * block_rows), \
              mock.patch.object(retrieval, "_screen_margin", margin), mock.patch.object(retrieval, "_ceil32", ceil32), \
-             mock.patch.object(retrieval, "_kept_rows", kept_rows):
+             mock.patch.object(retrieval, "_kept_blocks", spy_kept_blocks(kept)):
             batched = topk_hex(index, queries, k, modality)
         assert len(batched) == n_queries
         for q, got in zip(queries, batched):
@@ -454,7 +451,7 @@ def test_batched_topk_equals_per_row_full_sort(
             assert [(r.rank, r.id, r.score.hex()) for r in single] == expected
     with pytest.raises(dataclasses.FrozenInstanceError):  # slots leave results frozen
         single[0].score = 0.0
-    values, ceilings = (np.concatenate(parts) for parts in zip(*floors))
+    values, ceilings = (np.concatenate([np.ravel(part) for part in parts]) for parts in zip(*floors))
     # each floor rounds up to the next float32, never to the nearest one below
     assert ceilings.dtype == np.float32 and (ceilings >= values).all()
     assert (np.nextafter(ceilings, np.float32(-np.inf)) < values).all()
@@ -472,7 +469,9 @@ def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
     m = retrieval._screen_margin(idx.dimension, idx.max_norm, retrieval._dot_norms(unit))[0]
     # k-th screens below -1, at -1, above -1 by less than m, and by more than m
     kth = np.array([-1.5, -1.0, -1.0 + m / 2, -1.0 + 4 * m, 0.5], dtype=np.float32)
-    floors = retrieval._band_floors(idx, np.repeat(retrieval._dot_norms(unit), len(kth)), kth)
+    floors = retrieval._floor32(kth.clip(-1.0, 1.0).astype(np.float64) - m)
+    # one query's floor, from floats, is the same float32
+    assert [retrieval._floor32(min(max(float(t), -1.0), 1.0) - m) for t in kth] == floors.tolist()
     assert floors.dtype == np.float32
     assert (floors[:3] == np.finfo(np.float32).min).all()
     ceilings = retrieval._ceil32(np.clip(kth[3:], -1.0, 1.0).astype(np.float64) - m)
@@ -515,7 +514,7 @@ def test_margins_are_at_least_their_closed_forms(d):
     for max_norm in (1 - 1e-9, 1.0, 1 + 1e-9):
         screen = retrieval._screen_margin(d, max_norm, q_norms)
         centre_norm = (1 + 2.0**-24) * max_norm
-        block = retrieval._block_margin(d, retrieval._block_widths(d, max_norm, centre_norm, radii), q_norms)
+        block = retrieval._block_margin(d, retrieval._block_widths(d, max_norm, centre_norm, radii), q_norms[:, None])
         n, c = Fraction(max_norm), Fraction(centre_norm)
         for i, q in enumerate(map(Fraction, q_norms)):
             closed = 2 * (exact_relative_error(d, exact_gamma(d + 1, u)) * n * q + tiny)
@@ -695,21 +694,16 @@ def test_blocks_are_kept_only_where_one_could_be_dropped(spread, kept, small_blo
 def test_a_screen_equal_to_its_floor_stays_in_the_band():
     # with no margin a query's band floor is its k-th screen itself; the k-th row must stay
     idx = build_index([(f"i{j}", "image", [np.cos(j / 4), np.sin(j / 4)]) for j in range(6)])
-    with mock.patch.object(retrieval, "_screen_margin", lambda d, max_norm, q_norms: np.zeros(len(q_norms))):
+    with mock.patch.object(retrieval, "_screen_margin", lambda d, max_norm, q_norms: 0.0 * q_norms):
         got = query_topk(idx, np.array([1.0, 0.0]), 3, "image")
     assert [r.id for r in got] == ["i0", "i1", "i2"]
 
 
 @pytest.fixture()
 def kept(monkeypatch):
-    """What `_kept_rows` returns for each block of queries searched, in order."""
-    real_kept_rows, kept = retrieval._kept_rows, []
-
-    def kept_rows(*args):
-        kept.append(real_kept_rows(*args))
-        return kept[-1]
-
-    monkeypatch.setattr(retrieval, "_kept_rows", kept_rows)
+    """The side offsets of the blocks that each block of queries searched keeps, or None, in order."""
+    kept = []
+    monkeypatch.setattr(retrieval, "_kept_blocks", spy_kept_blocks(kept))
     return kept
 
 
@@ -718,7 +712,7 @@ def test_a_block_whose_upper_bound_equals_the_floor_is_kept(small_blocks, kept):
     # e1; they hold its top-k and must stay, while the three blocks of e2 rows are dropped
     rows = [[1.0, 0.0]] * 32 + [[0.0, 1.0]] * 48
     idx = build_index([(f"i{j:02d}", "image", row) for j, row in enumerate(rows)])
-    with mock.patch.object(retrieval, "_block_margin", lambda d, widths, q_norms: np.zeros((len(q_norms), len(widths)))):
+    with mock.patch.object(retrieval, "_block_margin", lambda d, widths, q_norms: 0.0 * q_norms * widths):
         got = query_topk(idx, np.array([1.0, 0.0]), 20, "image")
     assert kept[0].tolist() == list(range(32))
     assert [r.id for r in got] == [f"i{j:02d}" for j in range(20)]
@@ -764,6 +758,75 @@ def test_ceil32_leaves_a_float32_value_as_it_is():
     assert retrieval._ceil32(values).tobytes() == values.astype(np.float32).tobytes()
     above = np.nextafter(values[:-1], np.inf)  # just above each: the next float32 up
     assert (retrieval._ceil32(above) == np.nextafter(values[:-1].astype(np.float32), np.float32(np.inf))).all()
+    # one float at a time, as the one-query kernel rounds its floor, gives the same float32s
+    both = np.concatenate([values, above])
+    singles = [retrieval._ceil32(float(v)) for v in both]
+    assert all(type(c) is np.float32 for c in singles)
+    assert np.array(singles).tobytes() == retrieval._ceil32(both).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(40, 400),
+    clusters=st.integers(2, 6),
+    interleaved=st.booleans(),
+    few=st.integers(1, 15),
+    k=st.integers(1, 40),
+    n_queries=st.integers(2, 6),
+    delta=st.sampled_from([1e-9, 1e-12, 1e-15]),
+)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_each_row_of_a_batched_search_equals_the_one_query_kernel(
+    small_blocks, seed, n, clusters, interleaved, few, k, n_queries, delta
+):
+    """The batched kernel's answer for each row of a block of queries, and the one-query
+    kernel's for that row alone, bit for bit: on sides of rows in clusters by id and of no
+    multiple of BOUND_BLOCK_ROWS, a side of `few` rows and no blocks where ids do not
+    interleave, k above 16 (the floor is a lower need-th best bound) or above the
+    candidates, and exact and near ties of the first query around it."""
+    rng = np.random.default_rng(seed)
+    dim, size = 8, retrieval.BOUND_BLOCK_ROWS
+    labels = np.arange(n) * clusters // n
+    vectors = rng.normal(size=(clusters, dim))[labels] + 1e-3 * rng.normal(size=(n, dim))
+    modalities = rng.choice(["text", "image"], size=n) if interleaved else np.where(np.arange(n) < few, "text", "image")
+    while any(count >= size and count % size == 0 for count in np.unique(modalities, return_counts=True)[1]):
+        modalities[rng.integers(few if not interleaved else 0, n)] = rng.choice(["text", "image"])
+    queries = vectors[rng.choice(np.flatnonzero(labels == rng.integers(clusters)), n_queries)]
+    queries[-1] = vectors[-1]  # the last row of its side, in the remainder of the last block
+    ties = rng.choice(n, min(n, k + 4), replace=False)
+    vectors[ties] = queries[0] * rng.choice([2.0, 0.5, 1.0], (len(ties), 1))
+    near = ties[rng.random(len(ties)) < 0.5]
+    vectors[near, rng.integers(dim, size=len(near))] += delta * rng.choice([-1.0, 1.0], len(near))
+    index = build_index([(f"e{j:04d}", modalities[j], vectors[j]) for j in range(n)])
+    with mock.patch.object(retrieval, "_topk_one", wraps=retrieval._topk_one) as one, \
+         mock.patch.object(retrieval, "_topk_block", wraps=retrieval._topk_block) as block:
+        for modality in ("text", "image"):
+            candidates = len(index.sides[modality].rows)
+            # one block of every query, then each query alone
+            with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, candidates) * n_queries):
+                batched = topk_hex(index, queries, k, modality)
+                alone = [topk_hex(index, q[None], k, modality)[0] for q in queries]
+            assert batched == alone
+            assert all(len(run) == min(k, candidates) for run in alone)
+            assert alone[0] == full_sort_hex(index, queries[0], modality)[:k]
+    assert one.call_count == 2 * n_queries and block.call_count == 2
+
+
+def test_the_one_query_kernel_gathers_a_kept_last_block_with_its_remainder(small_blocks, kept):
+    # 4 clusters of 25 rows in id order: 6 blocks, the last (rows 80-99) holding 4 rows of
+    # remainder; the last row keeps that block and is its own best match, while a row of
+    # the third cluster keeps neither
+    rng = np.random.default_rng(8)
+    labels = np.repeat(np.arange(4), 25)
+    vectors = rng.normal(size=(4, 8))[labels] + 1e-3 * rng.normal(size=(len(labels), 8))
+    index = build_index([(f"i{j:03d}", "image", v) for j, v in enumerate(vectors)])
+    assert len(index.sides["image"].blocks.centres) == 6
+    for q, last_kept in ((vectors[-1], True), (vectors[50], False)):
+        kept.clear()
+        got = query_topk(index, q, 10, "image")
+        assert [(r.rank, r.id, r.score.hex()) for r in got] == full_sort_hex(index, q, "image")[:10]
+        assert kept[0] is not None and (set(range(80, 100)) <= set(kept[0].tolist())) == last_kept
+        assert last_kept == (got[0].id == "i099") and (last_kept or kept[0].max() < 80)
 
 
 def test_batched_topk_on_a_modality_with_no_entries():
