@@ -10,6 +10,7 @@ total loss is their exact sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -176,6 +177,17 @@ def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str =
     return unit, norms
 
 
+def _unit_vector(v: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector") -> np.ndarray:
+    """One vector over its norm, the float sqrt(v @ v), which has the bits
+    of `_dot_norms`.  A norm outside [_NORM_FLOOR, inf), NaN included, goes
+    to `_unit_rows`, which rescues the vector or refuses it as it would the
+    row."""
+    norm = math.sqrt(v @ v)
+    if _NORM_FLOOR <= norm < math.inf:
+        return v / norm
+    return _unit_rows(v[None], ids, what)[0][0]
+
+
 def l2_normalize(v: np.ndarray, ids: Sequence[str] | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """A vector, or each row of a matrix on its own, over its `_dot_norms`,
     into `out` when given (a matrix, v itself too); a zero row or one
@@ -191,11 +203,15 @@ def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = N
     Each row is projected and normalized on its own, so its bits do not
     depend on the other rows: the forward pass runs on `rows[:, None, :]`,
     where matmul makes one GEMV per row (one GEMM rounds differently), and
-    `_unit_rows` takes one dot per row.  Training normalizes with the
-    same norm.  A projection that is zero or not finite is a NumericError
-    naming its id.
+    `_unit_rows` takes one dot per row.  A single 1-D vector, as a query
+    is, stays 1-D through the same GEMVs and `_unit_vector`, and comes back
+    as one row.  Training normalizes with the same norm.  A projection that
+    is zero or not finite is a NumericError naming its id.
     """
-    rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        return _unit_vector(mlp_forward(head, features[None, None])[0][0, 0], ids, "projection")[None]
+    rows = np.atleast_2d(features)
     return _unit_rows(mlp_forward(head, rows[:, None, :])[0][:, 0], ids, "projection")[0]
 
 

@@ -20,16 +20,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentModel
+from .alignment import AlignmentModel, project
 from .errors import DataError, UsageError
 from .records import FeatureRecord, check_fits
-from .retrieval import (
-    DIRECTION_SIDES,
-    DIRECTIONS,
-    UnifiedIndex,
-    _project_queries,
-    _topk_arrays,
-)
+from .retrieval import UnifiedIndex, _direction_sides, _topk_arrays
 
 # mapping query_id -> set of relevant doc ids
 RelevanceJudgments = dict[str, set[str]]
@@ -103,13 +97,12 @@ def evaluate_retrieval(
     order.  All are projected and searched in one batch each, and every run
     equals that query's `cross_media_search` result.
     """
-    if direction not in DIRECTIONS:
-        raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+    source, target = _direction_sides(direction)
     k_list = sorted(set(int(k) for k in k_list))
     if not k_list or k_list[0] < 1:
         raise UsageError(f"k_list must contain positive cutoffs, got {k_list}")
-    source = DIRECTION_SIDES[direction][0]
-    check_fits(queries, source, model.head_for(source).input_dim)
+    head = model.head_for(source)
+    check_fits(queries, source, head.input_dim)
 
     ordered = sorted(queries, key=lambda r: r.id)
     judged = [(record, qrels[record.id]) for record in ordered if qrels.get(record.id)]
@@ -118,8 +111,9 @@ def evaluate_retrieval(
         raise DataError(f"zero judged queries for direction {direction}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as the NumericError alone
-        unified = _project_queries(model, [record for record, _ in judged], direction)
-    rows, _ = _topk_arrays(index, unified, max(k_list), DIRECTION_SIDES[direction][1])
+        unified = project(head, np.array([record.vector for record, _ in judged]),
+                          ids=[record.id for record, _ in judged])
+    rows, _ = _topk_arrays(index, unified, max(k_list), target)
     if rows.shape[1] == 0:
         raise DataError(f"index has no candidates for direction {direction}")
     ids = index.ids

@@ -111,10 +111,11 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
    run starts, gives the results as (queries, kk) arrays of rows and scores.
 4. One query: the size of a block alone selects its kernel.  A block of one
-   query (every `query_topk` and `cross_media_search` call, and a batch's
-   last block when one query is left for it) takes `_topk_one`; a block of
-   more keeps `_topk_block`, whose one matrix product per screen serves the
-   whole block faster than a `_topk_one` call per row.  `_topk_one` shares
+   query (a batch's last block when one query is left for it) takes
+   `_topk_one`, and so does every `query_topk` and `cross_media_search`
+   call, directly; a block of more keeps `_topk_block`, whose one matrix
+   product per screen serves the whole block faster than a `_topk_one`
+   call per row.  `_topk_one` shares
    every bound and rule of steps 0-3 with `_topk_block` through the same
    helpers: m (`_screen_margin`), M (`_block_widths`, `_block_margin`), the
    float32 ceiling and the floor at or below -1 (`_ceil32`, `_floor32`),
@@ -129,8 +130,15 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    id, so one stable argsort by -score orders them with ties in id order:
    it needs no divmod, query key or searchsorted.
 
-`query_topk` wraps the single-row case into a `RetrievalResult` list;
-`evaluate_retrieval` scores AP from the arrays.
+A single query stays one 1-D vector from its raw feature to its
+`RetrievalResult`s.  `cross_media_search` projects it through one GEMV per
+layer and `alignment._unit_vector`, whose norm is one float; `query_topk`
+runs the checks of `_topk_arrays` (`_checked_search`, one definition for
+both), normalizes it again with `_unit_vector` and calls `_topk_one`.
+Both normalizations stay: dividing `project`'s unit output by its own norm
+changes bits on about a third of the rows, and the brute-force reference
+renormalizes too.  `evaluate_retrieval` takes the arrays of `_topk_arrays`
+for a batch and scores AP from them.
 """
 
 from __future__ import annotations
@@ -141,7 +149,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alignment import AlignmentModel, _dot_norms, l2_normalize, project
+from .alignment import AlignmentModel, _dot_norms, _unit_vector, l2_normalize, project
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .records import IMAGE, MODALITIES, TEXT, FeatureRecord, check_fits
 
@@ -367,11 +375,20 @@ def _refuse_other_shapes(ids: tuple[str, ...], rows: tuple) -> None:
 def query_topk(
     index: UnifiedIndex, q: np.ndarray, k: int, filter_modality: str
 ) -> list[RetrievalResult]:
-    """Exact top-k among entries of one modality, ties broken by ascending id."""
-    rows, scores = _topk_arrays(index, np.asarray(q, dtype=np.float64)[None], k, filter_modality)
+    """Exact top-k among entries of one modality, ties broken by ascending id: one query kept
+    1-D through the checks of `_topk_arrays`, its `_unit_vector` and `_topk_one`."""
+    q = np.asarray(q, dtype=np.float64)
+    searched = _checked_search(index, q[None], k, filter_modality)
+    if searched is None:
+        return []
+    side, kk = searched
+    unit = _unit_vector(q)
+    if kk == 0:
+        return []
+    rows, scores = _topk_one(index, side, unit, kk)
     ids = index.ids
     return [RetrievalResult(ids[row], score, rank)
-            for rank, row, score in zip(range(1, rows.shape[1] + 1), rows[0].tolist(), scores[0].tolist())]
+            for rank, row, score in zip(range(1, kk + 1), rows.tolist(), scores.tolist())]
 
 
 def _topk_arrays(
@@ -380,33 +397,46 @@ def _topk_arrays(
     """`query_topk` for every row of `queries`, screened in blocks of rows, as (queries,
     min(k, candidates)) arrays of index rows, best first, and scores; each row's results
     equal its single-row search."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if filter_modality not in MODALITIES:
-        raise UsageError(f"unknown modality filter {filter_modality!r}")
     queries = np.asarray(queries, dtype=np.float64)
-    side = index.sides[filter_modality]
-    kk = min(k, len(side.rows))
-    if len(index) == 0:
+    searched = _checked_search(index, queries, k, filter_modality)
+    if searched is None:
         return np.zeros((len(queries), 0), dtype=np.intp), np.zeros((len(queries), 0))
-    if queries.ndim != 2 or queries.shape[1] != index.dimension:
-        raise DimensionError(
-            f"query dim {queries.shape[1:]} does not match index dim ({index.dimension},)"
-        )
-    finite = np.isfinite(queries).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"query row {int(np.flatnonzero(~finite)[0])} has non-finite values")
+    side, kk = searched
     unit = l2_normalize(queries)
     if kk == 0:  # no candidates: every run is empty
         return np.zeros((len(unit), 0), dtype=np.intp), np.zeros((len(unit), 0))
     step = max(1, SCORE_BLOCK_BYTES // (8 * len(side.rows)))
     # a block's size selects its kernel: one query takes `_topk_one`, more take `_topk_block`
-    runs = [_topk_one(index, side, block[0], kk) if len(block) == 1 else _topk_block(index, side, block, kk)
+    runs = [_topk_block(index, side, block, kk) if len(block) > 1 else
+            tuple(run[None] for run in _topk_one(index, side, block[0], kk))
             for block in (unit[start:start + step] for start in range(0, len(unit), step))]
     if len(runs) == 1:
         return runs[0]
     rows, scores = zip(*runs)
     return np.concatenate(rows), np.concatenate(scores)
+
+
+def _checked_search(
+    index: UnifiedIndex, queries: np.ndarray, k: int, filter_modality: str
+) -> tuple[Side, int] | None:
+    """Every check of a search for the k best of `filter_modality` for each row of `queries`,
+    which both `query_topk` and `_topk_arrays` run first, and the side it reads with
+    kk = min(k, candidates), or None where the index is empty and every search finds nothing."""
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    if filter_modality not in MODALITIES:
+        raise UsageError(f"unknown modality filter {filter_modality!r}")
+    if len(index) == 0:
+        return None
+    if queries.ndim != 2 or queries.shape[1] != index.dimension:
+        raise DimensionError(
+            f"query dim {queries.shape[1:]} does not match index dim ({index.dimension},)"
+        )
+    if not np.isfinite(queries).all():
+        row = np.flatnonzero(~np.isfinite(queries).all(axis=1))[0]
+        raise NumericError(f"query row {row} has non-finite values")
+    side = index.sides[filter_modality]
+    return side, min(k, len(side.rows))
 
 
 def _gamma(n: int, u: float) -> float:
@@ -457,11 +487,13 @@ def _floor32(floors: np.ndarray | float) -> np.ndarray | np.float32:
     return floors32
 
 
-def _block_floor(best: float) -> float:
-    """The floor that a block's upper bound s + M must reach to stay, for a query whose need-th
-    best lower bound is `best` (module docstring, step 0): L = min(best, 1), or -inf, keeping
-    every block, where best is at most -1."""
-    return min(best, 1.0) if best > -1.0 else -math.inf
+def _block_floor(best: np.ndarray | float) -> np.ndarray | float:
+    """The floor that a block's upper bound s + M must reach to stay, for each query's need-th
+    best lower bound in `best`, or for one float (module docstring, step 0): L = min(best, 1), or
+    -inf, keeping every block, where best is at most -1."""
+    if isinstance(best, float):
+        return min(best, 1.0) if best > -1.0 else -math.inf
+    return np.where(best > -1.0, np.minimum(best, 1.0), -np.inf)
 
 
 def _kept_blocks(side: Side, unit32: np.ndarray, q_norms: np.ndarray | float, kk: int) -> np.ndarray | None:
@@ -480,8 +512,7 @@ def _kept_blocks(side: Side, unit32: np.ndarray, q_norms: np.ndarray | float, kk
     if one:
         keep = np.flatnonzero(centre + margin >= _block_floor(float(best)))
     else:
-        floors = np.array([_block_floor(b) for b in best.tolist()])
-        keep = np.flatnonzero((centre + margin >= floors[:, None]).any(axis=0))
+        keep = np.flatnonzero((centre + margin >= _block_floor(best)[:, None]).any(axis=0))
     if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the whole side
         return None
     return keep
@@ -512,8 +543,9 @@ def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> t
 
 
 def _topk_one(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_topk_block` for a single finite unit query, as (1, kk) arrays: the same bounds and rules,
-    with its norm, floors and k-th screen as floats and 1-D screens (module docstring)."""
+    """`_topk_block` for a single finite unit query, as 1-D arrays of kk rows and scores: the same
+    bounds and rules, with its norm, floors and k-th screen as floats and 1-D screens (module
+    docstring)."""
     unit32, q_norm = unit.astype(np.float32), math.sqrt(unit @ unit)  # the bits of `_dot_norms`
     keep, size = _kept_blocks(side, unit32, q_norm, kk), BOUND_BLOCK_ROWS
     if keep is None:
@@ -535,7 +567,7 @@ def _topk_one(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tup
     # the reference's np.dot per row, as one stacked product, then its clip
     scores = (index.vectors[rows][:, None, :] @ unit[:, None])[:, 0, 0].clip(-1.0, 1.0)
     best = np.argsort(-scores, kind="stable")[:kk]  # rows ascend by id, so ties keep id order
-    return rows[best][None], scores[best][None]
+    return rows[best], scores[best]
 
 
 def cross_media_search(
@@ -545,21 +577,20 @@ def cross_media_search(
     k: int,
     direction: str,
 ) -> list[RetrievalResult]:
-    """Project a raw query through the matching head and search the other modality.  A projection
-    that overflows is a NumericError, but numpy warns first unless the caller sets `np.errstate`."""
-    unified = _project_queries(model, [query], direction)[0]
-    return query_topk(index, unified, k, filter_modality=DIRECTION_SIDES[direction][1])
+    """Project a raw query through the matching head and search the other modality, the query
+    1-D from its feature to its results.  A projection that overflows is a NumericError, but
+    numpy warns first unless the caller sets `np.errstate`."""
+    source, target = _direction_sides(direction)
+    if query.modality != source:
+        raise UsageError(f"direction {direction} takes a {source} query, "
+                         f"got modality {query.modality!r} (id {query.id!r})")
+    head = model.head_for(source)
+    check_fits([query], source, head.input_dim)
+    return query_topk(index, project(head, query.vector, [query.id])[0], k, target)
 
 
-def _project_queries(model: AlignmentModel, queries: list[FeatureRecord], direction: str) -> np.ndarray:
-    """The unified vectors of raw queries for a direction, one row per query, in order."""
+def _direction_sides(direction: str) -> tuple[str, str]:
+    """(query modality, result modality) of a direction; an unknown one is a UsageError."""
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
-    source = DIRECTION_SIDES[direction][0]
-    wrong = next((q for q in queries if q.modality != source), None)
-    if wrong is not None:
-        raise UsageError(f"direction {direction} takes a {source} query, "
-                         f"got modality {wrong.modality!r} (id {wrong.id!r})")
-    head = model.head_for(source)
-    check_fits(queries, source, head.input_dim)
-    return project(head, np.array([q.vector for q in queries]), ids=[q.id for q in queries])
+    return DIRECTION_SIDES[direction]

@@ -177,6 +177,11 @@ def _each_row(fn, rows, ids):
     return out
 
 
+def _outcome(out):
+    """A row's bits, or the message of the NumericError that refused it."""
+    return str(out) if isinstance(out, NumericError) else out.tobytes()
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     dims=st.lists(st.integers(0, 40).map(lambda d: 2 * d + 1), min_size=2, max_size=3),
@@ -188,7 +193,9 @@ def _each_row(fn, rows, ids):
 @settings(max_examples=60, deadline=None)
 def test_rows_are_projected_and_normalized_on_their_own(seed, dims, n, byte_offset, scaled, zero):
     # random heads of 1-2 layers and odd dims; rows that overflow or underflow
-    # ||row||**2 take the rescue path, and an all-dead hidden row projects to zero
+    # ||row||**2 take the rescue path, and an all-dead hidden row projects to zero;
+    # a single row also goes in as a 1-D vector (project's norm is then one
+    # float) and must give the bits of the batch or the NumericError naming its id
     rng = np.random.default_rng(seed)
     head = init_mlp(dims, rng)
     ids = [f"row-{k}" for k in range(n)]
@@ -201,6 +208,8 @@ def test_rows_are_projected_and_normalized_on_their_own(seed, dims, n, byte_offs
                 if zero_row is not None:
                     rows[zero_row] = 0.0
                 singles = _each_row(fn, rows, ids)
+                vectors = _each_row(lambda r, i: np.atleast_2d(fn(r[0], i)), rows, ids)
+                assert [_outcome(out) for out in vectors] == [_outcome(out) for out in singles]
                 failed = [k for k, out in enumerate(singles) if isinstance(out, NumericError)]
                 if failed:  # the first zero row is named, by its id
                     with pytest.raises(NumericError, match=f"\\({ids[failed[0]]}\\)"):
@@ -209,8 +218,6 @@ def test_rows_are_projected_and_normalized_on_their_own(seed, dims, n, byte_offs
                 together = fn(rows, ids)
                 for k in range(n):
                     assert together[k].tobytes() == singles[k].tobytes()
-                if fn is alignment.l2_normalize:  # a vector is the single-row case
-                    assert all(fn(rows[k]).tobytes() == singles[k].tobytes() for k in range(n))
 
 
 # ------------------------------------------------------------------ logits --

@@ -240,15 +240,23 @@ def test_query_topk_scale_invariant_in_query():
 
 
 def test_query_topk_validation():
+    # one query, 1-D, and the same query as a 1-row batch meet each check in one definition
     idx = build_index(make_items(4, 3, seed=1))
-    with pytest.raises(UsageError):
-        query_topk(idx, np.ones(3), 0, "text")
-    with pytest.raises(UsageError):
-        query_topk(idx, np.ones(3), 3, "video")
-    with pytest.raises(DimensionError):
-        query_topk(idx, np.ones(5), 3, "text")
-    with pytest.raises(NumericError):
-        query_topk(idx, np.zeros(3), 3, "text")
+    cases = [
+        (np.ones(3), 0, "text", UsageError),
+        (np.ones(3), 3, "video", UsageError),
+        (np.ones(5), 3, "text", DimensionError),
+        (np.array([1.0, np.nan, 1.0]), 3, "text", NumericError),
+        (np.array([1.0, 1.0, np.inf]), 3, "text", NumericError),
+        (np.array([-np.inf, 1.0, 1.0]), 3, "text", NumericError),
+        (np.zeros(3), 3, "text", NumericError),
+    ]
+    for q, k, modality, error in cases:
+        with pytest.raises(error) as one:
+            query_topk(idx, q, k, modality)
+        with pytest.raises(error) as batch:
+            retrieval._topk_arrays(idx, q[None], k, modality)
+        assert str(one.value) == str(batch.value)
 
 
 def test_query_topk_k_exceeding_candidates():
@@ -476,6 +484,12 @@ def test_a_band_floor_at_or_below_minus_one_admits_every_candidate():
     assert (floors[:3] == np.finfo(np.float32).min).all()
     ceilings = retrieval._ceil32(np.clip(kth[3:], -1.0, 1.0).astype(np.float64) - m)
     assert np.array_equal(floors[3:], ceilings) and (-1.0 < floors[3:]).all() and (floors[3:] <= kth[3:]).all()
+    # the keep rule's floor L, for an array of need-th best lower bounds and one float at a time:
+    # -inf at or below -1, the bound itself between -1 and 1, and 1 at or above 1
+    best = np.array([-1.5, -1.0, np.nextafter(-1.0, 0.0), 0.25, np.nextafter(1.0, 0.0), 1.0, 1.5])
+    block_floors = retrieval._block_floor(best)
+    assert block_floors.tolist() == [retrieval._block_floor(float(b)) for b in best]
+    assert block_floors.tolist() == [-np.inf, -np.inf, *best[2:5].tolist(), 1.0, 1.0]
 
 
 @pytest.fixture()
