@@ -204,13 +204,14 @@ def project(head: MlpParams, features: np.ndarray, ids: Sequence[str] | None = N
     depend on the other rows: the forward pass runs on `rows[:, None, :]`,
     where matmul makes one GEMV per row (one GEMM rounds differently), and
     `_unit_rows` takes one dot per row.  A single 1-D vector, as a query
-    is, stays 1-D through the same GEMVs and `_unit_vector`, and comes back
-    as one row.  Training normalizes with the same norm.  A projection that
-    is zero or not finite is a NumericError naming its id.
+    is, goes through `mlp_forward` and `_unit_vector` as it is, with the
+    same bits, and comes back as one row.  Training normalizes with the
+    same norm.  A projection that is zero or not finite is a NumericError
+    naming its id.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
-        return _unit_vector(mlp_forward(head, features[None, None])[0][0, 0], ids, "projection")[None]
+        return _unit_vector(mlp_forward(head, features)[0], ids, "projection")[None]
     rows = np.atleast_2d(features)
     return _unit_rows(mlp_forward(head, rows[:, None, :])[0][:, 0], ids, "projection")[0]
 

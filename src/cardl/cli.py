@@ -25,7 +25,7 @@ from .errors import CardlError, DataError, NumericError, UsageError, in_file
 from .evaluation import DEFAULT_K_LIST, evaluate_retrieval
 from .pairhead import PairExample, fit_pair_head
 from .records import TEXT
-from .retrieval import DIRECTION_SIDES, DIRECTIONS, cross_media_search, query_topk
+from .retrieval import DIRECTION_SIDES, DIRECTIONS, _check_query_side, cross_media_search, query_topk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,12 +184,6 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _check_query_side(direction: str, query_id: str, modality: str, path: str) -> None:
-    source = DIRECTION_SIDES[direction][0]
-    if modality != source:
-        raise UsageError(f"direction {direction} takes a {source} query, but id {query_id!r} is {modality}", path=path)
-
-
 def _cmd_query(args) -> int:
     if args.features and not args.model:
         raise UsageError("--features needs --model to project the raw query")
@@ -205,8 +199,8 @@ def _cmd_query(args) -> int:
         row = bisect.bisect_left(index.ids, args.id)  # ids are in ascending order
         if row == len(index) or index.ids[row] != args.id:
             raise DataError(f"id {args.id!r} not in the index; pass --features with its raw vector", path=args.index)
-        _check_query_side(direction, args.id, index.modalities[row], args.index)
-        results = query_topk(index, index.vectors[row], args.k, DIRECTION_SIDES[direction][1])
+        target = _check_query_side(direction, args.id, index.modalities[row], args.index)[1]
+        results = query_topk(index, index.vectors[row], args.k, target)
     for result in results:
         print(f"{result.rank}\t{result.id}\t{result.score:.6f}")
     return 0

@@ -148,10 +148,11 @@ def mlp_forward(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, Forwa
 
     Returns the output batch and the cache mlp_backward needs.  ReLU is
     applied after every layer except the last.  A batch of shape (n, 1, d)
-    runs one GEMV per row (see `alignment.project`); mlp_backward takes 2-D."""
+    runs one GEMV per row (see `alignment.project`), and one vector of
+    shape (d,) one GEMV per layer, with its row's bits; mlp_backward takes 2-D."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 and batch.shape[1:-1] != (1,):
-        raise DimensionError(f"batch must be (rows, d) or (rows, 1, d), got shape {batch.shape}")
+    if batch.ndim not in (1, 2) and batch.shape[1:-1] != (1,):
+        raise DimensionError(f"batch must be (d,), (rows, d) or (rows, 1, d), got shape {batch.shape}")
     if batch.shape[-1] != params.input_dim:
         raise DimensionError(
             f"batch has {batch.shape[-1]} columns but the first layer expects "

@@ -45,10 +45,11 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    its k-th, so it is dropped.  The code (`_kept_blocks`, `_block_floor`)
    keeps a block where s + M >= min(l, 1), l being the need-th largest
    s - M, and keeps every block where l <= -1: the same test, with no clip
-   of the (queries, blocks) bounds.  Steps 1-3 then run on the rows of the
-   kept blocks, gathered in id order from the side's float32 copy; they
-   hold every row scoring at least the k-th score, and at least kk rows,
-   which is all that the argument of step 2 needs.
+   of the (queries, blocks) bounds.  Steps 1-3 then run on the float32
+   rows of the kept blocks and their index rows, gathered in id order by
+   `_kept_rows`, the one gather of both kernels; they hold every row
+   scoring at least the k-th score, and at least kk rows, which is all
+   that the argument of step 2 needs.
    A drop needs hi_b < lo_b' for some blocks b and b', so rho_b + rho_b' <
    ||c_b|| + ||c_b'|| <= 2C.  Where every radius is at least C (rows with no
    cluster structure in id order) no block could ever be dropped, and the
@@ -60,7 +61,9 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    rows, and the queries, of a block to lie near one another, as in the
    benchmark's synthetic corpora, whose ids run cluster by cluster: with
    k = 10 one query keeps 4.8% of the `query_stream` rows and 10.2% of the
-   `eval_batch` ones, and 25 `evaluate_retrieval` queries, which run in id
+   `eval_batch` ones, about half of them in the blocks that span a cluster
+   boundary, which every query keeps (30 of its 60-61 kept blocks and 17 of
+   its 31-32), and 25 `evaluate_retrieval` queries, which run in id
    order, 24-43%, against a median of 76% for 25 random queries and 95%
    for 52.  The centres cost a screen of 1/BOUND_BLOCK_ROWS of the rows'
    bytes and bookkeeping on one score per query and block; an index
@@ -100,11 +103,11 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    where the floor is above -1, a screen is at least the floor exactly
    when its clipped value is.
 3. Re-score and order: one `np.flatnonzero` over the block's band mask,
-   split by `divmod` into (query, offset) pairs whose offsets the side's
-   `rows` map back to index rows, finds every band row of the block, query
-   by query and by ascending id within a query.  They are
-   scored again in float64 with one stacked dot per band row
-   (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
+   split by `divmod` into (query, column) pairs, finds every band row of
+   the block, query by query and by ascending id within a query; the index
+   rows that `_kept_rows` gives with the screened rows map each column to
+   its index row.  They are scored again in float64 with one stacked dot
+   per band row (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
    bits of the reference's `np.dot(row, q)`) and clipped.  One stable
    `np.lexsort` by query, then -score, orders the whole block, so ties keep
    id order.  A band holds at least kk = min(k, candidates) rows, so one
@@ -115,23 +118,21 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    `_topk_one`, and so does every `query_topk` and `cross_media_search`
    call, directly; a block of more keeps `_topk_block`, whose one matrix
    product per screen serves the whole block faster than a `_topk_one`
-   call per row.  `_topk_one` shares
-   every bound and rule of steps 0-3 with `_topk_block` through the same
-   helpers: m (`_screen_margin`), M (`_block_widths`, `_block_margin`), the
-   float32 ceiling and the floor at or below -1 (`_ceil32`, `_floor32`),
-   and the keep rule and the 3/4 rule (`_kept_blocks`, `_block_floor`).  It
+   call per row.  `_topk_one` shares every bound and rule of steps 0-3
+   with `_topk_block` through the same helpers: m (`_screen_margin`), M
+   (`_block_widths`, `_block_margin`), the float32 ceiling and the floor
+   at or below -1 (`_ceil32`, `_floor32`), the keep rule and the 3/4 rule
+   (`_kept_blocks`, `_block_floor`), and the gather (`_kept_rows`).  It
    differs only in form.  Its norm, L, k-th screened score and band floor
    are Python floats, and its centre screen and row screen are 1-D float32
-   products.  It gathers the kept blocks through a (blocks,
-   BOUND_BLOCK_ROWS, d) view of the side's float32 copy, with the
-   remainder rows after the last block when that block stays, and maps a
-   band position p back to the side as p + (keep[b] - b) * BOUND_BLOCK_ROWS,
-   b = min(p // BOUND_BLOCK_ROWS, kept blocks - 1).  Its band rows ascend by
-   id, so one stable argsort by -score orders them with ties in id order:
-   it needs no divmod, query key or searchsorted.
+   products.  Its band is one boolean index of the gathered index rows,
+   `rows[screened >= floor]`.  Those rows ascend by id, so one stable
+   argsort by -score orders them with ties in id order: it needs no
+   divmod, query key or searchsorted.
 
 A single query stays one 1-D vector from its raw feature to its
-`RetrievalResult`s.  `cross_media_search` projects it through one GEMV per
+`RetrievalResult`s.  `cross_media_search` checks its side with the rule of
+`cardl query` (`_check_query_side`) and projects it through one GEMV per
 layer and `alignment._unit_vector`, whose norm is one float; `query_topk`
 runs the checks of `_topk_arrays` (`_checked_search`, one definition for
 both), normalizes it again with `_unit_vector` and calls `_topk_one`.
@@ -143,6 +144,7 @@ for a batch and scores AP from them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -444,6 +446,7 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u)
 
 
+@functools.cache  # one float per dimension, which every query's margin reads
 def _screen_relative_error(d: int) -> float:
     """The factor of ||r|| * ||q|| in E of the module docstring."""
     u = _F32_ROUNDOFF
@@ -508,33 +511,40 @@ def _kept_blocks(side: Side, unit32: np.ndarray, q_norms: np.ndarray | float, kk
     centre = unit32 @ blocks.centres.T
     margin = _block_margin(unit32.shape[-1], blocks.widths, q_norms if one else q_norms[:, None])
     lower = centre - margin
-    best = lower.max(axis=-1) if need == 1 else np.partition(lower, -need, axis=-1)[..., -need]
-    if one:
-        keep = np.flatnonzero(centre + margin >= _block_floor(float(best)))
-    else:
-        keep = np.flatnonzero((centre + margin >= _block_floor(best)[:, None]).any(axis=0))
+    best = np.maximum.reduce(lower, axis=-1) if need == 1 else np.partition(lower, -need, axis=-1)[..., -need]
+    reach = centre + margin >= (_block_floor(float(best)) if one else _block_floor(best)[:, None])
+    keep = (reach if one else reach.any(axis=0)).nonzero()[0]
     if 4 * len(keep) > 3 * len(blocks.centres):  # gathering more costs more than screening the whole side
         return None
     return keep
+
+
+def _kept_rows(side: Side, keep: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 rows and index rows of the side's blocks `keep`, in id order with the remainder of
+    a kept last block, or the whole side for None: one gather through (blocks, BOUND_BLOCK_ROWS) views."""
+    if keep is None:
+        return side.vectors32, side.rows
+    count, size = len(side.blocks.centres), BOUND_BLOCK_ROWS
+    whole = count * size
+    rows32 = side.vectors32[:whole].reshape(count, size, -1).take(keep, axis=0).reshape(len(keep) * size, -1)
+    rows = side.rows[:whole].reshape(count, size).take(keep, axis=0).reshape(-1)
+    if keep[-1] == count - 1:  # the last block also holds the remainder
+        return np.concatenate([rows32, side.vectors32[whole:]]), np.concatenate([rows, side.rows[whole:]])
+    return rows32, rows
 
 
 def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Screen, band and re-score one block of finite unit queries against a side (module docstring)
     for their kk best."""
     unit32, q_norms = unit.astype(np.float32), _dot_norms(unit)
-    keep, kept = _kept_blocks(side, unit32, q_norms, kk), None
-    if keep is not None:  # the offsets into the side of the kept blocks' rows
-        count, size = len(side.blocks.centres), BOUND_BLOCK_ROWS
-        kept = (keep[:, None] * size + np.arange(size)).ravel()
-        if keep[-1] == count - 1:  # the last block also holds the remainder
-            kept = np.append(kept, np.arange(count * size, len(side.rows)))
-    screened = unit32 @ (side.vectors32 if kept is None else np.take(side.vectors32, kept, axis=0)).T
+    candidates, kept = _kept_rows(side, _kept_blocks(side, unit32, q_norms, kk))
+    screened = unit32 @ candidates.T
     kth = np.partition(screened, -kk, axis=1)[:, -kk].clip(-1.0, 1.0).astype(np.float64)
     floors32 = _floor32(kth - _screen_margin(index.dimension, index.max_norm, q_norms))
     query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), screened.shape[1])
-    rows = side.rows[col if kept is None else kept[col]]
+    rows = kept[col]
     # the reference's np.dot per row, as one stacked product, then its clip
-    scores = (index.vectors[rows][:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
+    scores = (index.vectors.take(rows, axis=0)[:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
     # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order
     order = np.lexsort((-scores, query))
     # each query's run in `order` starts where its rows start in `query`
@@ -547,26 +557,14 @@ def _topk_one(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tup
     bounds and rules, with its norm, floors and k-th screen as floats and 1-D screens (module
     docstring)."""
     unit32, q_norm = unit.astype(np.float32), math.sqrt(unit @ unit)  # the bits of `_dot_norms`
-    keep, size = _kept_blocks(side, unit32, q_norm, kk), BOUND_BLOCK_ROWS
-    if keep is None:
-        candidates = side.vectors32
-    else:  # the kept blocks in id order, through a (blocks, size, d) view of the side
-        count = len(side.blocks.centres)
-        by_block = side.vectors32[: count * size].reshape(count, size, -1)
-        candidates = np.take(by_block, keep, axis=0).reshape(len(keep) * size, -1)
-        if keep[-1] == count - 1:  # the last block also holds the remainder
-            candidates = np.concatenate([candidates, side.vectors32[count * size:]])
+    candidates, rows = _kept_rows(side, _kept_blocks(side, unit32, q_norm, kk))
     screened = candidates @ unit32
     kth = float(np.partition(screened, -kk)[-kk])
     floor32 = _floor32(min(max(kth, -1.0), 1.0) - _screen_margin(index.dimension, index.max_norm, q_norm))
-    band = np.flatnonzero(screened >= floor32)
-    if keep is not None:  # positions in the gathered rows to offsets into the side
-        block = np.minimum(band // size, len(keep) - 1)
-        band += (keep[block] - block) * size
-    rows = side.rows[band]
+    rows = rows[screened >= floor32]  # the band, still in id order
     # the reference's np.dot per row, as one stacked product, then its clip
-    scores = (index.vectors[rows][:, None, :] @ unit[:, None])[:, 0, 0].clip(-1.0, 1.0)
-    best = np.argsort(-scores, kind="stable")[:kk]  # rows ascend by id, so ties keep id order
+    scores = (index.vectors.take(rows, axis=0)[:, None, :] @ unit[:, None])[:, 0, 0].clip(-1.0, 1.0)
+    best = (-scores).argsort(kind="stable")[:kk]  # rows ascend by id, so ties keep id order
     return rows[best], scores[best]
 
 
@@ -580,10 +578,7 @@ def cross_media_search(
     """Project a raw query through the matching head and search the other modality, the query
     1-D from its feature to its results.  A projection that overflows is a NumericError, but
     numpy warns first unless the caller sets `np.errstate`."""
-    source, target = _direction_sides(direction)
-    if query.modality != source:
-        raise UsageError(f"direction {direction} takes a {source} query, "
-                         f"got modality {query.modality!r} (id {query.id!r})")
+    source, target = _check_query_side(direction, query.id, query.modality)
     head = model.head_for(source)
     check_fits([query], source, head.input_dim)
     return query_topk(index, project(head, query.vector, [query.id])[0], k, target)
@@ -594,3 +589,12 @@ def _direction_sides(direction: str) -> tuple[str, str]:
     if direction not in DIRECTIONS:
         raise UsageError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
     return DIRECTION_SIDES[direction]
+
+
+def _check_query_side(direction: str, query_id: str, modality: str, path=None) -> tuple[str, str]:
+    """The direction's (query modality, result modality), after the one rule for a query's side: a
+    UsageError of `path` unless the query's `modality` is the direction's source."""
+    source, target = _direction_sides(direction)
+    if modality != source:
+        raise UsageError(f"direction {direction} takes a {source} query, but id {query_id!r} is {modality}", path=path)
+    return source, target

@@ -107,6 +107,33 @@ def test_forward_dim_mismatch_names_both_dims():
         mlp_forward(mlp, np.zeros((1, 5)))
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dims=st.lists(st.integers(0, 40).map(lambda d: 2 * d + 1), min_size=2, max_size=4),
+    byte_offset=st.integers(0, 15),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=80, deadline=None)
+def test_a_vector_goes_forward_with_the_bits_of_its_row(seed, dims, byte_offset, scale):
+    # heads of 1-3 layers, odd dims, random biases and a vector whose bytes may be misaligned:
+    # one GEMV per layer gives row 0 of the (1, d) and (1, 1, d) forms bit for bit, and a
+    # vector of the wrong length is refused with the message a batch gets
+    rng = np.random.default_rng(seed)
+    mlp = MlpParams([LinearLayer(rng.normal(size=(o, i)), rng.normal(size=o)) for i, o in zip(dims, dims[1:])])
+    v = np.zeros(byte_offset + 8 * dims[0], dtype=np.uint8)[byte_offset:].view(np.float64)
+    v[:] = scale * rng.normal(size=dims[0])
+    out, cache = mlp_forward(mlp, v)
+    assert out.shape == (dims[-1],) and len(cache) == len(mlp.layers)
+    assert out.tobytes() == mlp_forward(mlp, v[None])[0][0].tobytes()
+    assert out.tobytes() == mlp_forward(mlp, v[None, None])[0][0, 0].tobytes()
+    messages = set()
+    for wrong in (np.zeros(dims[0] + 1), np.zeros((1, dims[0] + 1)), np.zeros((1, 1, dims[0] + 1))):
+        with pytest.raises(DimensionError) as refused:
+            mlp_forward(mlp, wrong)
+        messages.add(str(refused.value))
+    assert messages == {f"batch has {dims[0] + 1} columns but the first layer expects {dims[0]}"}
+
+
 def test_backward_requires_cache():
     mlp = MlpParams([LinearLayer(np.eye(2), np.zeros(2))])
     with pytest.raises(UsageError):

@@ -829,7 +829,8 @@ def test_each_row_of_a_batched_search_equals_the_one_query_kernel(
 def test_the_one_query_kernel_gathers_a_kept_last_block_with_its_remainder(small_blocks, kept):
     # 4 clusters of 25 rows in id order: 6 blocks, the last (rows 80-99) holding 4 rows of
     # remainder; the last row keeps that block and is its own best match, while a row of
-    # the third cluster keeps neither
+    # the third cluster keeps neither; `_topk_block` shares the gather, so blocks of three
+    # queries of either cluster keep the same blocks and give each query's exact top-k
     rng = np.random.default_rng(8)
     labels = np.repeat(np.arange(4), 25)
     vectors = rng.normal(size=(4, 8))[labels] + 1e-3 * rng.normal(size=(len(labels), 8))
@@ -841,6 +842,13 @@ def test_the_one_query_kernel_gathers_a_kept_last_block_with_its_remainder(small
         assert [(r.rank, r.id, r.score.hex()) for r in got] == full_sort_hex(index, q, "image")[:10]
         assert kept[0] is not None and (set(range(80, 100)) <= set(kept[0].tolist())) == last_kept
         assert last_kept == (got[0].id == "i099") and (last_kept or kept[0].max() < 80)
+    with mock.patch.object(retrieval, "_topk_block", wraps=retrieval._topk_block) as block:
+        for queries, last_kept in ((vectors[[99, 96, 82]], True), (vectors[[50, 61, 74]], False)):
+            kept.clear()
+            assert topk_hex(index, queries, 10, "image") == [full_sort_hex(index, q, "image")[:10] for q in queries]
+            assert kept[0] is not None and (set(range(80, 100)) <= set(kept[0].tolist())) == last_kept
+            assert last_kept or kept[0].max() < 80
+    assert block.call_count == 2
 
 
 def test_batched_topk_on_a_modality_with_no_entries():
