@@ -63,9 +63,6 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (256,)
     unified_dim: int = DEFAULT_UNIFIED_DIM
     seed: int = 0
-    beta1: float = AdamConfig.beta1
-    beta2: float = AdamConfig.beta2
-    epsilon: float = AdamConfig.epsilon
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
@@ -137,13 +134,21 @@ class AlignmentModel:
 _NORM_FLOOR = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
 
 
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Each row of `rows` dotted with the matching row of `other`, or with
+    the vector `other`, one BLAS dot per row: cardl's one float64 dot.  Each
+    row has the bits of np.dot(row, other_row), whatever the other rows
+    hold; a single vector's float `v @ v` (`_unit_vector`, `_topk_one`), the
+    one other spelling, has those of `_row_dots(v[None], v)[0]` at half the
+    cost.  numpy warns when a dot overflows unless errors are suppressed."""
+    return (rows[:, None, :] @ other[..., None])[:, 0, 0]
+
+
 def _dot_norms(matrix: np.ndarray) -> np.ndarray:
-    """The L2 norm of each row, sqrt(row . row), with one dot per row in a
-    stacked matmul: cardl's one row norm.  Each row's bits are those of
-    np.linalg.norm(row) alone, whatever the other rows hold.  numpy warns
-    when row . row overflows unless the caller suppresses floating-point
-    errors."""
-    return np.sqrt(matrix[:, None, :] @ matrix[:, :, None]).reshape(len(matrix))
+    """The L2 norm of each row, sqrt(row . row) by `_row_dots`: cardl's one
+    row norm.  Each row's bits are those of np.linalg.norm(row) alone,
+    whatever the other rows hold."""
+    return np.sqrt(_row_dots(matrix, matrix))
 
 
 def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector",
@@ -173,15 +178,14 @@ def _unit_rows(matrix: np.ndarray, ids: Sequence[str] | None = None, what: str =
             raise NumericError(f"cannot normalize zero {what} ({name(bad[np.argmax(rescued == 0.0)])})")
         unit = np.divide(matrix, norms[:, None], out=out)  # the rescued rows are overwritten below
         unit[bad] = scaled / rescued[:, None]
-        norms[bad] = (rows[:, None, :] @ unit[bad][:, :, None]).reshape(len(bad))
+        norms[bad] = _row_dots(rows, unit[bad])
     return unit, norms
 
 
 def _unit_vector(v: np.ndarray, ids: Sequence[str] | None = None, what: str = "vector") -> np.ndarray:
-    """One vector over its norm, the float sqrt(v @ v), which has the bits
-    of `_dot_norms`.  A norm outside [_NORM_FLOOR, inf), NaN included, goes
-    to `_unit_rows`, which rescues the vector or refuses it as it would the
-    row."""
+    """One vector over its norm, the float sqrt(v @ v) (see `_row_dots`).  A
+    norm outside [_NORM_FLOOR, inf), NaN included, goes to `_unit_rows`,
+    which rescues the vector or refuses it as it would the row."""
     norm = math.sqrt(v @ v)
     if _NORM_FLOOR <= norm < math.inf:
         return v / norm
@@ -192,7 +196,7 @@ def l2_normalize(v: np.ndarray, ids: Sequence[str] | None = None, out: np.ndarra
     """A vector, or each row of a matrix on its own, over its `_dot_norms`,
     into `out` when given (a matrix, v itself too); a zero row or one
     holding NaN or +-inf is a NumericError naming its id.  numpy warns when
-    row . row overflows, as in `_dot_norms`."""
+    row . row overflows, as in `_row_dots`."""
     v = np.asarray(v, dtype=np.float64)
     return _unit_rows(np.atleast_2d(v), ids, out=out)[0].reshape(v.shape)
 
@@ -384,7 +388,7 @@ def _train(heads: Sequence[MlpParams], n: int, config: TrainConfig,
     a gradient per head), or None to skip, and each head takes an Adam step in
     place.  Returns each epoch's mean loss (0.0 with no batch).  A non-finite
     loss or any NumericError names its epoch and batch."""
-    adam = AdamConfig(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+    adam = AdamConfig(config.learning_rate)
     states = [AdamState.zeros_like(head) for head in heads]
     history: list[float] = []
     for epoch in range(config.epochs):

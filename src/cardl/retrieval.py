@@ -106,9 +106,9 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    split by `divmod` into (query, column) pairs, finds every band row of
    the block, query by query and by ascending id within a query; the index
    rows that `_kept_rows` gives with the screened rows map each column to
-   its index row.  They are scored again in float64 with one stacked dot
-   per band row (`vectors[rows][:, None, :] @ unit[query][:, :, None]`, which has the
-   bits of the reference's `np.dot(row, q)`) and clipped.  One stable
+   its index row.  They are scored again in float64 by
+   `alignment._row_dots`, one dot per band row with the bits of the
+   reference's `np.dot(row, q)`, and clipped.  One stable
    `np.lexsort` by query, then -score, orders the whole block, so ties keep
    id order.  A band holds at least kk = min(k, candidates) rows, so one
    fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
@@ -151,7 +151,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alignment import AlignmentModel, _dot_norms, _unit_vector, l2_normalize, project
+from .alignment import AlignmentModel, _dot_norms, _row_dots, _unit_vector, l2_normalize, project
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .records import IMAGE, MODALITIES, TEXT, FeatureRecord, check_fits
 
@@ -543,8 +543,7 @@ def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> t
     floors32 = _floor32(kth - _screen_margin(index.dimension, index.max_norm, q_norms))
     query, col = divmod(np.flatnonzero(screened >= floors32[:, None]), screened.shape[1])
     rows = kept[col]
-    # the reference's np.dot per row, as one stacked product, then its clip
-    scores = (index.vectors.take(rows, axis=0)[:, None, :] @ unit[query][:, :, None])[:, 0, 0].clip(-1.0, 1.0)
+    scores = _row_dots(index.vectors.take(rows, axis=0), unit[query]).clip(-1.0, 1.0)
     # query ascends, and within a query rows ascend by id, so a stable sort keeps ties in id order
     order = np.lexsort((-scores, query))
     # each query's run in `order` starts where its rows start in `query`
@@ -556,14 +555,13 @@ def _topk_one(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tup
     """`_topk_block` for a single finite unit query, as 1-D arrays of kk rows and scores: the same
     bounds and rules, with its norm, floors and k-th screen as floats and 1-D screens (module
     docstring)."""
-    unit32, q_norm = unit.astype(np.float32), math.sqrt(unit @ unit)  # the bits of `_dot_norms`
+    unit32, q_norm = unit.astype(np.float32), math.sqrt(unit @ unit)  # see `_row_dots`
     candidates, rows = _kept_rows(side, _kept_blocks(side, unit32, q_norm, kk))
     screened = candidates @ unit32
     kth = float(np.partition(screened, -kk)[-kk])
     floor32 = _floor32(min(max(kth, -1.0), 1.0) - _screen_margin(index.dimension, index.max_norm, q_norm))
     rows = rows[screened >= floor32]  # the band, still in id order
-    # the reference's np.dot per row, as one stacked product, then its clip
-    scores = (index.vectors.take(rows, axis=0)[:, None, :] @ unit[:, None])[:, 0, 0].clip(-1.0, 1.0)
+    scores = _row_dots(index.vectors.take(rows, axis=0), unit).clip(-1.0, 1.0)
     best = (-scores).argsort(kind="stable")[:kk]  # rows ascend by id, so ties keep id order
     return rows[best], scores[best]
 

@@ -220,6 +220,36 @@ def test_rows_are_projected_and_normalized_on_their_own(seed, dims, n, byte_offs
                     assert together[k].tobytes() == singles[k].tobytes()
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    d=st.sampled_from([1, 2, 3, 8, 64, 257]),
+    n=st.integers(0, 5),
+    byte_offset=st.integers(0, 15),
+    scales=st.lists(st.sampled_from([1.0, 1e-160, 1e-150, 1e150, 1e160]), min_size=11, max_size=11),
+)
+@settings(max_examples=80, deadline=None)
+def test_row_dots_has_the_bits_of_each_rows_np_dot(seed, d, n, byte_offset, scales):
+    # `_row_dots` is cardl's one float64 dot: every row norm and both search
+    # kernels' re-scores take it, and the brute-force references take np.dot
+    # row by row, so each row must have np.dot's bits whatever the other rows
+    # hold; a single vector's `v @ v`, the one other spelling, must have the
+    # bits of its one-row form.  The dot kernel differs per OpenBLAS core, so
+    # CI reruns this under each.  Scales near 1e-160 underflow a product and
+    # near 1e160 overflow it
+    rng = np.random.default_rng(seed)
+    a, b = _rows_at(rng, n, d, byte_offset), _rows_at(rng, n, d, byte_offset)
+    v = _rows_at(rng, 1, d, byte_offset)[0]
+    a *= np.array(scales[:5][:n])[:, None]
+    b *= np.array(scales[5:10][:n])[:, None]
+    v *= scales[10]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for other, others in ((b, b), (v, [v] * n)):
+            dots = alignment._row_dots(a, other)
+            assert dots.shape == (n,)
+            assert [x.tobytes() for x in dots] == [np.dot(a[k], others[k]).tobytes() for k in range(n)]
+        assert np.float64(v @ v).tobytes() == alignment._row_dots(v[None], v)[0].tobytes()
+
+
 # ------------------------------------------------------------------ logits --
 
 def test_batch_logits_worked_example():

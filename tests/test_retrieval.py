@@ -27,18 +27,19 @@ from cardl.retrieval import (
 from kept import spy_kept_blocks
 
 
-def brute_force_ranking(index, q, filter_modality):
-    """Independent oracle: full sort of all candidate scores, id ascending on ties."""
+def full_sort_hex(index, q, modality):
+    """Per-row brute force: one np.dot per candidate, clipped, full sort by (-score, id)."""
     qn = np.asarray(q, dtype=np.float64)
     qn = qn / np.linalg.norm(qn)
-    scored = []
-    for i, (id_, mod) in enumerate(zip(index.ids, index.modalities)):
-        if mod != filter_modality:
-            continue
-        s = float(np.clip(index.vectors[i] @ qn, -1.0, 1.0))
-        scored.append((id_, s))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored
+    scored = sorted(
+        (
+            (min(max(float(np.dot(index.vectors[i], qn)), -1.0), 1.0), index.ids[i])
+            for i in range(len(index))
+            if index.modalities[i] == modality
+        ),
+        key=lambda t: (-t[0], t[1]),
+    )
+    return [(rank, id_, score.hex()) for rank, (score, id_) in enumerate(scored, start=1)]
 
 
 def make_items(n, dim, seed, modality_cycle=("text", "image")):
@@ -211,8 +212,8 @@ def test_query_topk_matches_brute_force_with_ties():
     res = query_topk(idx, np.array([1.0, 0.0]), 3, "image")
     assert [(r.rank, r.id) for r in res] == [(1, "m1"), (2, "m2"), (3, "m3")]
     assert res[0].score == res[1].score == 1.0
-    oracle = brute_force_ranking(idx, np.array([1.0, 0.0]), "image")
-    assert [(r.id, r.score) for r in res] == oracle[:3]
+    oracle = full_sort_hex(idx, np.array([1.0, 0.0]), "image")
+    assert [(r.rank, r.id, r.score.hex()) for r in res] == oracle[:3]
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 30), st.integers(1, 40))
@@ -224,8 +225,8 @@ def test_query_topk_equals_full_sort_prefix(seed, n, k):
     q = rng.normal(size=6)
     for modality in ("text", "image"):
         res = query_topk(idx, q, k, modality)
-        oracle = brute_force_ranking(idx, q, modality)
-        assert [(r.id, r.score) for r in res] == oracle[:k]
+        oracle = full_sort_hex(idx, q, modality)
+        assert [(r.rank, r.id, r.score.hex()) for r in res] == oracle[:k]
         assert [r.rank for r in res] == list(range(1, len(res) + 1))
         assert all(-1.0 <= r.score <= 1.0 for r in res)
 
@@ -318,21 +319,6 @@ def test_unified_index_len_and_dimension():
 
 
 # ------------------------------------------------------ batched top-k kernel --
-
-def full_sort_hex(index, q, modality):
-    """Per-row brute force: one np.dot per candidate, clipped, full sort by (-score, id)."""
-    qn = np.asarray(q, dtype=np.float64)
-    qn = qn / np.linalg.norm(qn)
-    scored = sorted(
-        (
-            (min(max(float(np.dot(index.vectors[i], qn)), -1.0), 1.0), index.ids[i])
-            for i in range(len(index))
-            if index.modalities[i] == modality
-        ),
-        key=lambda t: (-t[0], t[1]),
-    )
-    return [(rank, id_, score.hex()) for rank, (score, id_) in enumerate(scored, start=1)]
-
 
 def topk_hex(index, queries, k, modality):
     """`_topk_arrays` for a block of queries, as one (rank, id, score hex) list per query."""
