@@ -54,7 +54,6 @@ from .evaluation import (
     mean_average_precision,
 )
 from .nn import (
-    AdamConfig,
     AdamState,
     LinearLayer,
     MlpParams,

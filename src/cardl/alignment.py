@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DataError, DimensionError, NumericError, UsageError
 from .nn import (
-    AdamConfig,
     AdamState,
     GradientSet,
+    LinearLayer,
     MlpParams,
     adam_step,
     cross_entropy,
@@ -58,7 +58,7 @@ class TrainConfig:
 
     epochs: int = 50
     batch_size: int = 32
-    learning_rate: float = AdamConfig.learning_rate
+    learning_rate: float = 1e-3
     temperature: float = DEFAULT_TEMPERATURE
     hidden_dims: tuple[int, ...] = (256,)
     unified_dim: int = DEFAULT_UNIFIED_DIM
@@ -281,9 +281,9 @@ def transpose_targets(y: np.ndarray) -> np.ndarray:
 def _directional(logits: np.ndarray, y: np.ndarray):
     """(losses, p_i2t, yt, p_t2i): both directional losses with their exact
     sum, each direction's softmax, and the text->image targets."""
-    p_i2t = stable_softmax(logits, axis=1)
+    p_i2t = stable_softmax(logits)
     yt = transpose_targets(y)
-    p_t2i = stable_softmax(logits.T, axis=1)
+    p_t2i = stable_softmax(logits.T)
     loss_i2t = cross_entropy(y, p_i2t)
     loss_t2i = cross_entropy(yt, p_t2i)
     return (loss_i2t, loss_t2i, loss_i2t + loss_t2i), p_i2t, yt, p_t2i
@@ -388,7 +388,6 @@ def _train(heads: Sequence[MlpParams], n: int, config: TrainConfig,
     a gradient per head), or None to skip, and each head takes an Adam step in
     place.  Returns each epoch's mean loss (0.0 with no batch).  A non-finite
     loss or any NumericError names its epoch and batch."""
-    adam = AdamConfig(config.learning_rate)
     states = [AdamState.zeros_like(head) for head in heads]
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -402,7 +401,7 @@ def _train(heads: Sequence[MlpParams], n: int, config: TrainConfig,
                 if not np.isfinite(loss):
                     raise NumericError("non-finite loss")
                 for head, g, state in zip(heads, grads, states):
-                    adam_step(head, g, state, adam)
+                    adam_step(head, g, state, config.learning_rate)
             except NumericError as exc:  # e.g. a zero projection, naming head and batch row
                 raise NumericError(f"{exc} at epoch {epoch}, batch {b}") from exc
             losses.append(loss)
@@ -446,30 +445,24 @@ def fit(
     return model, _train([model.text_head, model.image_head], len(pairs), config, step)
 
 
-def linear_model(
-    text_weight: np.ndarray,
-    image_weight: np.ndarray,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> AlignmentModel:
+def linear_model(text_weight: np.ndarray, image_weight: np.ndarray) -> AlignmentModel:
     """Wrap two fixed linear maps (out_dim x in_dim) as an untrained model."""
-    from .nn import LinearLayer  # local import keeps the public surface tidy
 
     def head(weight):
         weight = np.asarray(weight, dtype=np.float64)
         return MlpParams([LinearLayer(weight, np.zeros(len(weight)))])
 
-    return AlignmentModel(head(text_weight), head(image_weight), temperature)
+    return AlignmentModel(head(text_weight), head(image_weight))
 
 
 def random_projection_model(
     text_input_dim: int,
     image_input_dim: int,
     unified_dim: int = DEFAULT_UNIFIED_DIM,
-    temperature: float = DEFAULT_TEMPERATURE,
     seed: int = 0,
 ) -> AlignmentModel:
     """Frozen random linear heads; the untrained chance-level baseline."""
     rng = seeded_rng(seed)
     text_head = init_mlp([text_input_dim, unified_dim], rng)
     image_head = init_mlp([image_input_dim, unified_dim], rng)
-    return AlignmentModel(text_head, image_head, temperature)
+    return AlignmentModel(text_head, image_head)

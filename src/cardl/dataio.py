@@ -29,10 +29,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .alignment import (
-    DEFAULT_TEMPERATURE, AlignmentModel, PairedExample, TrainConfig, linear_model, project, seeded_rng,
-)
-from .errors import CardlError, DataError, DimensionError, NumericError, UsageError, in_file
+from .alignment import AlignmentModel, PairedExample, TrainConfig, linear_model, project, seeded_rng
+from .errors import CardlError, DataError, DimensionError, UsageError, in_file
 from .evaluation import AP_CONVENTION, EvalReport, RelevanceJudgments
 from .nn import MlpParams, mlp_from_flat
 from .pairhead import PairHead
@@ -521,11 +519,7 @@ class SyntheticDataset:
     image_recovery: np.ndarray  # (latent, image_dim)
 
 
-def generate_synthetic(
-    config: SyntheticConfig,
-    text_map: np.ndarray | None = None,
-    image_map: np.ndarray | None = None,
-) -> SyntheticDataset:
+def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     """Draw a clustered paired corpus with known linear structure.
 
     Per pair: a latent point near its cluster center, then a text view
@@ -538,20 +532,15 @@ def generate_synthetic(
     latent, text and image noise, and one stacked GEMV per pair and view, so
     it has the bits of drawing and projecting pair by pair.
 
-    The forward maps can be injected (tests use the identity); by default
-    they are drawn from the seed.
+    The forward maps A_t and A_i are Gaussian draws from the seed, after the
+    cluster centers and before any noise: full rank with probability 1, as
+    latent_dim <= min(text_dim, image_dim) (`SyntheticConfig` checks it).
     """
     rng = seeded_rng(config.seed)
     per, latent, text_dim = config.pairs_per_cluster, config.latent_dim, config.text_dim
     centers = rng.normal(size=(config.clusters, latent))
-    # a map that is not given is drawn, the text map first
-    text_map = rng.normal(size=(text_dim, latent)) if text_map is None else np.asarray(text_map, np.float64)
-    image_map = rng.normal(size=(config.image_dim, latent)) if image_map is None else np.asarray(image_map, np.float64)
-    for name, mat, rows in (("text_map", text_map, text_dim), ("image_map", image_map, config.image_dim)):
-        if mat.shape != (rows, latent):
-            raise UsageError(f"{name} must have shape ({rows}, {latent}), got {mat.shape}")
-        if np.linalg.matrix_rank(mat) < latent:
-            raise NumericError(f"{name} is rank-deficient; latent recovery impossible")
+    text_map = rng.normal(size=(text_dim, latent))
+    image_map = rng.normal(size=(config.image_dim, latent))
 
     total = config.clusters * per
     width = max(4, len(str(total - 1)))
@@ -588,11 +577,9 @@ def generate_synthetic(
     )
 
 
-def oracle_model(
-    dataset: SyntheticDataset, temperature: float = DEFAULT_TEMPERATURE
-) -> AlignmentModel:
+def oracle_model(dataset: SyntheticDataset) -> AlignmentModel:
     """Exact-alignment model built from the generator's recovery maps."""
-    return linear_model(dataset.text_recovery, dataset.image_recovery, temperature)
+    return linear_model(dataset.text_recovery, dataset.image_recovery)
 
 
 def unified_records(model: AlignmentModel, records: Sequence[FeatureRecord]) -> list[FeatureRecord]:

@@ -1,6 +1,7 @@
 """Dense MLP arithmetic with analytic gradients, plus the numeric primitives
-built on top of it: stable softmax, doubly-averaged cross-entropy, Adam, and
-a central-difference gradient oracle for testing.
+built on top of it: stable softmax, doubly-averaged cross-entropy, Adam
+(whose b1, b2 and eps are the fixed ADAM_* constants) and a
+central-difference gradient oracle for testing.
 
 Everything here is float64 and deterministic, and holds no global state.
 Each MLP keeps its parameters in one contiguous vector (`MlpParams.flat`)
@@ -19,6 +20,9 @@ import numpy as np
 from .errors import DataError, DimensionError, NumericError, UsageError
 
 LOG_FLOOR = 1e-12
+# Kingma & Ba's recommended moment decays and denominator floor; only the
+# learning rate (TrainConfig.learning_rate) is a training setting.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -202,19 +206,19 @@ def mlp_backward(params: MlpParams, cache: ForwardCache, grad_out: np.ndarray) -
     return grads
 
 
-def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over `axis`, computed with the max-shift trick.
+def stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed with the max-shift trick.
 
-    Accepts vectors or batches of rows; output sums to 1 along `axis`.
+    Accepts vectors or batches of rows; output sums to 1 along each row.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.size == 0:
         raise UsageError("softmax of an empty input is undefined")
     if not np.isfinite(logits).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(targets: np.ndarray, probs: np.ndarray) -> float:
@@ -245,14 +249,6 @@ def cross_entropy(targets: np.ndarray, probs: np.ndarray) -> float:
     return float(-(targets[mask] * logp).sum() / (n * m))
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-
 @dataclass(eq=False)
 class AdamState:
     """Moment estimates laid out like MlpParams.flat, plus the step count."""
@@ -275,10 +271,11 @@ def adam_step(
     params: MlpParams,
     grads: GradientSet,
     state: AdamState,
-    config: AdamConfig = AdamConfig(),
+    learning_rate: float,
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update of params.flat and `state`, in place;
-    returns the same two objects.  Each coordinate takes, in this order,
+    returns the same two objects.  With b1, b2 and eps the fixed ADAM_*
+    constants and lr = `learning_rate`, each coordinate takes, in this order,
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     denom = sqrt(v) * (1/sqrt(1-b2**t)) + eps and
     w -= (lr/(1-b1**t)) * (m/denom).
@@ -297,7 +294,7 @@ def adam_step(
     if not np.isfinite(g).all():
         raise NumericError(f"non-finite gradient at layer {_first_non_finite(grads)}")
     t = state.step_count + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, s = state.first_moment, state.second_moment, state.scratch
     m *= b1
     m += np.multiply(1 - b1, g, out=s)
@@ -307,9 +304,9 @@ def adam_step(
     v += s
     np.sqrt(v, out=s)
     s *= 1 / math.sqrt(1 - b2**t)
-    s += config.epsilon
+    s += ADAM_EPSILON
     np.divide(m, s, out=s)
-    s *= config.learning_rate / (1 - b1**t)
+    s *= learning_rate / (1 - b1**t)
     params.flat -= s
     state.step_count = t
     return params, state

@@ -854,23 +854,13 @@ def test_synthetic_noise_free_recovery_is_exact():
     assert np.max(np.abs(z_t - z_i)) < 1e-9
 
 
-def test_synthetic_injectable_maps_and_rank_check():
-    cfg = SyntheticConfig(clusters=2, pairs_per_cluster=2, text_dim=3, image_dim=3, latent_dim=3)
-    ds = generate_synthetic(cfg, text_map=np.eye(3), image_map=np.eye(3))
-    assert np.array_equal(ds.text_map, np.eye(3))
-    with pytest.raises(NumericError, match="rank"):
-        generate_synthetic(cfg, text_map=np.zeros((3, 3)))
-    with pytest.raises(UsageError):
-        generate_synthetic(cfg, text_map=np.eye(4))
-
-
-def synthetic_per_pair(config, text_map=None, image_map=None):
+def synthetic_per_pair(config):
     """The generator as one draw and one GEMV per pair, the way it was written
     before it drew in blocks."""
     rng = np.random.default_rng(config.seed & (2**64 - 1))
     centers = rng.normal(size=(config.clusters, config.latent_dim))
-    text_map = rng.normal(size=(config.text_dim, config.latent_dim)) if text_map is None else text_map
-    image_map = rng.normal(size=(config.image_dim, config.latent_dim)) if image_map is None else image_map
+    text_map = rng.normal(size=(config.text_dim, config.latent_dim))
+    image_map = rng.normal(size=(config.image_dim, config.latent_dim))
     total = config.clusters * config.pairs_per_cluster
     width = max(4, len(str(total - 1)))
     texts, images, clusters = [], [], []
@@ -895,20 +885,15 @@ def synthetic_per_pair(config, text_map=None, image_map=None):
     dims=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
     noise=st.sampled_from([0.0, 0.1, 1.0]),
     same_cluster=st.booleans(),
-    inject=st.booleans(),
     seed=st.integers(-(2**63), 2**64 - 1),
     block=st.sampled_from([1, 2, 3, 7, MAX_BLOCK_ROWS]),
 )
-def test_generator_equals_the_per_pair_loop_bit_for_bit(clusters, per, dims, noise, same_cluster, inject, seed, block):
+def test_generator_equals_the_per_pair_loop_bit_for_bit(clusters, per, dims, noise, same_cluster, seed, block):
     text_dim, image_dim, latent = dims[0], dims[1], min(dims)
     config = SyntheticConfig(clusters, per, text_dim, image_dim, latent, noise, seed, same_cluster)
-    maps = {}
-    if inject:  # full rank with probability 1
-        rng = np.random.default_rng(seed & 0xFFFF)
-        maps = {"text_map": rng.normal(size=(text_dim, latent)), "image_map": rng.normal(size=(image_dim, latent))}
     with patch.object(dataio, "MAX_BLOCK_ROWS", block):  # blocks that cross cluster boundaries
-        ds = generate_synthetic(config, **maps)
-    texts, images, qrels, clusters_of = synthetic_per_pair(config, **maps)
+        ds = generate_synthetic(config)
+    texts, images, qrels, clusters_of = synthetic_per_pair(config)
     for records, expected in ((ds.text_records, texts), (ds.image_records, images)):
         assert [(r.id, r.vector.tobytes()) for r in records] == [(id_, v.tobytes()) for id_, v in expected]
     assert [(p.text_id, p.image_id, p.label) for p in ds.pairs] == [(t, i, None) for (t, _), (i, _) in zip(texts, images)]

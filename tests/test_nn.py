@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from cardl.errors import DataError, DimensionError, NumericError, UsageError
 from cardl.nn import (
-    AdamConfig,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     LinearLayer,
     MlpParams,
@@ -206,7 +208,7 @@ def test_softmax_shift_invariance(values, shift):
 
 def test_softmax_2d_rows_independent():
     m = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-    probs = stable_softmax(m, axis=-1)
+    probs = stable_softmax(m)
     assert np.max(np.abs(probs[0] - SOFTMAX_123)) < 1e-12
     assert np.max(np.abs(probs[1] - SOFTMAX_123[::-1])) < 1e-12
 
@@ -260,15 +262,15 @@ def test_adam_first_step_magnitude():
     mlp = MlpParams([LinearLayer(np.array([[0.5]]), np.zeros(1))])
     g = 0.7
     grads = [(np.array([[g]]), np.array([0.0]))]
-    cfg = AdamConfig()
-    new, state = adam_step(mlp, grads, AdamState.zeros_like(mlp), cfg)
+    lr = 1e-3
+    new, state = adam_step(mlp, grads, AdamState.zeros_like(mlp), lr)
     delta = new.layers[0].weight[0, 0] - 0.5
     # textbook recurrence, step 1
-    m_hat = (1 - cfg.beta1) * g / (1 - cfg.beta1)
-    v_hat = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
-    expected = -cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m_hat = (1 - ADAM_BETA1) * g / (1 - ADAM_BETA1)
+    v_hat = (1 - ADAM_BETA2) * g * g / (1 - ADAM_BETA2)
+    expected = -lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     assert abs(delta - expected) < 1e-15
-    assert abs(delta + cfg.learning_rate) < 1e-10
+    assert abs(delta + lr) < 1e-10
     assert state.step_count == 1
 
 
@@ -279,32 +281,31 @@ def test_adam_updates_in_place_and_deterministically():
     assert twin.flat is not mlp.flat
     states = [AdamState.zeros_like(mlp), AdamState.zeros_like(twin)]
     before = mlp.flat.copy()
-    cfg = AdamConfig()
     for _ in range(3):
         grads = [(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape)) for l in mlp.layers]
-        out, st = adam_step(mlp, grads, states[0], cfg)
+        out, st = adam_step(mlp, grads, states[0], 1e-3)
         assert out is mlp and st is states[0]
-        adam_step(twin, grads, states[1], cfg)
+        adam_step(twin, grads, states[1], 1e-3)
         assert mlp.flat.tobytes() == twin.flat.tobytes()
     assert not np.array_equal(mlp.flat, before)
     assert states[0].step_count == states[1].step_count == 3
 
 
-def textbook_adam(layers, grad_steps, cfg):
+def textbook_adam(layers, grad_steps, lr):
     """Per-layer, per-array Adam, one fresh array per operation, in the folded
     order `adam_step` specifies: Kingma & Ba's update with the bias corrections
     folded into the scalars 1/sqrt(1 - b2**t) and lr/(1 - b1**t)."""
     params = [[l.weight.copy(), l.bias.copy()] for l in layers]
     m = [[np.zeros_like(a) for a in pair] for pair in params]
     v = [[np.zeros_like(a) for a in pair] for pair in params]
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for t, grads in enumerate(grad_steps, start=1):
         for k, pair in enumerate(grads):
             for i, g in enumerate(pair):
                 m[k][i] = b1 * m[k][i] + (1 - b1) * g
                 v[k][i] = b2 * v[k][i] + (1 - b2) * g**2
-                denom = np.sqrt(v[k][i]) * (1 / np.sqrt(1 - b2**t)) + cfg.epsilon
-                params[k][i] = params[k][i] - (cfg.learning_rate / (1 - b1**t)) * (m[k][i] / denom)
+                denom = np.sqrt(v[k][i]) * (1 / np.sqrt(1 - b2**t)) + ADAM_EPSILON
+                params[k][i] = params[k][i] - (lr / (1 - b1**t)) * (m[k][i] / denom)
     return np.concatenate([a.ravel() for pair in params for a in pair])
 
 
@@ -313,15 +314,14 @@ def test_flat_adam_equals_textbook_per_layer_adam_bit_for_bit(dims):
     rng = np.random.default_rng(len(dims))
     mlp = init_mlp(dims, rng)
     mlp.flat[:] = rng.normal(size=mlp.flat.size)  # nonzero biases too
-    cfg = AdamConfig(learning_rate=3e-2)
     grad_steps = []
     for _ in range(5):
         flat = rng.normal(size=mlp.flat.size) * 10.0 ** rng.integers(-6, 3, size=mlp.flat.size)
         grad_steps.append([(l.weight, l.bias) for l in unflatten_params(mlp, flat).layers])
-    expected = textbook_adam(mlp.layers, grad_steps, cfg)
+    expected = textbook_adam(mlp.layers, grad_steps, 3e-2)
     state = AdamState.zeros_like(mlp)
     for grads in grad_steps:
-        adam_step(mlp, grads, state, cfg)
+        adam_step(mlp, grads, state, 3e-2)
     assert mlp.flat.tobytes() == expected.tobytes()
 
 
@@ -345,13 +345,12 @@ def test_folded_adam_agrees_with_kingma_ba_to_rtol_1e_12(size, step_count, lr, s
     g, m0, v0 = draw(), draw(), draw() ** 2
     mlp = MlpParams([LinearLayer(np.zeros((size, 1)), np.zeros(size))])
     state = AdamState(m0.copy(), v0.copy(), step_count)
-    cfg = AdamConfig(learning_rate=lr)
-    adam_step(mlp, [(g[:size, None], g[size:])], state, cfg)
+    adam_step(mlp, [(g[:size, None], g[size:])], state, lr)
 
-    t, b1, b2 = step_count + 1, cfg.beta1, cfg.beta2
+    t, b1, b2 = step_count + 1, ADAM_BETA1, ADAM_BETA2
     m_hat = (b1 * m0 + (1 - b1) * g) / (1 - b1**t)
     v_hat = (b2 * v0 + (1 - b2) * g**2) / (1 - b2**t)
-    np.testing.assert_allclose(-mlp.flat, lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(-mlp.flat, lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), rtol=1e-12, atol=0)
     assert state.step_count == t
 
 
@@ -378,25 +377,24 @@ def test_adam_rejects_nonfinite_gradient():
     mlp = MlpParams([LinearLayer(np.array([[0.5]]), np.zeros(1))])
     grads = [(np.array([[np.nan]]), np.array([0.0]))]
     with pytest.raises(NumericError, match="layer 0"):
-        adam_step(mlp, grads, AdamState.zeros_like(mlp), AdamConfig())
+        adam_step(mlp, grads, AdamState.zeros_like(mlp), 1e-3)
     two = init_mlp([2, 2, 1], np.random.default_rng(0))
     before = two.flat.copy()
     bad = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in two.layers]
     bad[1][1][0] = np.inf
     with pytest.raises(NumericError, match="layer 1"):
-        adam_step(two, bad, AdamState.zeros_like(two), AdamConfig())
+        adam_step(two, bad, AdamState.zeros_like(two), 1e-3)
     assert two.flat.tobytes() == before.tobytes()  # refused before any update
 
 
 def test_adam_converges_on_quadratic():
     mlp = MlpParams([LinearLayer(np.array([[4.0]]), np.array([-3.0]))])
-    cfg = AdamConfig(learning_rate=0.05)
     state = AdamState.zeros_like(mlp)
     for _ in range(600):
         w = mlp.layers[0].weight[0, 0]
         b = mlp.layers[0].bias[0]
         grads = [(np.array([[2 * w]]), np.array([2 * b]))]
-        mlp, state = adam_step(mlp, grads, state, cfg)
+        mlp, state = adam_step(mlp, grads, state, 0.05)
     assert abs(mlp.layers[0].weight[0, 0]) < 1e-3
     assert abs(mlp.layers[0].bias[0]) < 1e-3
 
