@@ -213,6 +213,20 @@ def test_softmax_2d_rows_independent():
     assert np.max(np.abs(probs[1] - SOFTMAX_123[::-1])) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+)
+def test_softmax_reduces_over_the_last_axis_only(seed, shape):
+    x = np.random.default_rng(seed).normal(scale=10.0, size=shape)
+    probs = stable_softmax(x)
+    assert probs.shape == x.shape
+    for index in np.ndindex(*shape[:-1]):
+        assert np.max(np.abs(probs[index] - stable_softmax(x[index]))) < 1e-12
+    assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-12
+
+
 def test_cross_entropy_worked_example():
     y = np.eye(2)
     p = np.array([[0.9, 0.1], [0.2, 0.8]])
