@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error (a file that does not
 fit another file too), 3 numeric failure.
 Diagnostics go to stderr; results go to stdout or the --out files.  All
-randomness flows from --seed (falling back to the CARDL_SEED environment
-variable, then 0), so identical invocations produce byte-identical outputs.
+randomness flows from --seed, whose default is the library config's seed,
+so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import bisect
 import contextlib
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -33,18 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("CARDL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"CARDL_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -95,7 +82,7 @@ def _cmd_synth(args) -> int:
         image_dim=args.image_dim,
         latent_dim=args.latent_dim,
         noise_sigma=args.noise_sigma,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         same_cluster_relevant=args.same_cluster_relevant,
     )
     dataset = dataio.generate_synthetic(config)
@@ -121,7 +108,7 @@ def _cmd_train(args) -> int:
         temperature=args.temperature,
         hidden_dims=_parse_int_list(args.hidden_dims, "--hidden-dims") if args.hidden_dims else (),
         unified_dim=args.unified_dim,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     text_records = dataio.load_features(args.text_features)
     image_records = dataio.load_features(args.image_features)
@@ -142,14 +129,14 @@ def _cmd_pairhead_train(args) -> int:
     records = dataio.load_features(args.features)
     by_id = {r.id: r for r in records}
     pairs, _ = dataio.load_pairs_and_qrels(args.pairs, modality_of={r.id: r.modality for r in records})
-    seed, n = _resolve_seed(args.seed), len(pairs)
+    n = len(pairs)
     if n < 2:
         raise DataError("need at least 2 pairs to sample mismatched negatives", path=args.pairs)
     text, image = by_id[pairs[0].text_id], by_id[pairs[0].image_id]  # each modality has one dim in the file
     if text.dim != image.dim:
         raise DataError(f"pair {text.id!r} -> {image.id!r} joins a text vector of dim {text.dim} and an image vector "
                         f"of dim {image.dim}; a pair head needs one dim", path=(args.features, args.pairs))
-    drawn = seeded_rng(seed).integers(n - 1, size=(n, args.negatives_per_positive))
+    drawn = seeded_rng(args.seed).integers(n - 1, size=(n, args.negatives_per_positive))
     drawn += drawn >= np.arange(n)[:, None]  # never draw the true partner
     examples = [
         PairExample(by_id[p.text_id].vector, by_id[p.image_id].vector, relevant=True)
@@ -158,10 +145,11 @@ def _cmd_pairhead_train(args) -> int:
         PairExample(by_id[p.text_id].vector, by_id[pairs[j].image_id].vector, relevant=False)
         for p, row in zip(pairs, drawn) for j in row
     ]
-    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate, seed=seed)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
+                         seed=args.seed)
     with _numerics_of(args.features):
         head = fit_pair_head(examples, config)
-    dataio.save_pair_head(head, args.out, seed=seed)
+    dataio.save_pair_head(head, args.out, seed=args.seed)
     _log(f"trained pair head on {n} positives / {len(examples) - n} sampled negatives; wrote {args.out}")
     return 0
 
@@ -255,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latent-dim", type=int, default=synth.latent_dim)
     p.add_argument("--noise-sigma", type=float, default=synth.noise_sigma)
     p.add_argument("--same-cluster-relevant", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=synth.seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train the two projection heads on paired features")
@@ -270,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dims", default=",".join(map(str, train.hidden_dims)),
                    help="comma-separated widths; empty for linear heads")
     p.add_argument("--unified-dim", type=int, default=train.unified_dim)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
@@ -284,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=train.batch_size)
     p.add_argument("--learning-rate", type=float, default=train.learning_rate)
     p.add_argument("--negatives-per-positive", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.set_defaults(func=_cmd_pairhead_train)
 
     p = sub.add_parser("embed", help="project raw features into the unified space")

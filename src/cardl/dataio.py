@@ -2,7 +2,7 @@
 
 Formats (all byte-deterministic under a fixed seed):
   - features:  one JSON object per line, fields id (a JSON string) /
-    modality / vector
+    modality / vector (an array of JSON numbers)
   - pairs:     TSV rows  text_id <TAB> image_id [<TAB> label]
   - qrels:     TSV rows  query_id <TAB> doc_id <TAB> 0|1
   - model, pair head, index (format 2): a header line of sorted-key JSON,
@@ -146,7 +146,8 @@ def save_features(records: Sequence[FeatureRecord], path: str | Path) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-_MALFORMED = (ValueError, KeyError, TypeError, DataError)  # what a malformed feature line raises
+# what a malformed feature line raises; OverflowError is an integer beyond the float range
+_MALFORMED = (ValueError, KeyError, TypeError, OverflowError, DataError)
 
 
 def _feature_record(line: str) -> FeatureRecord:
@@ -154,7 +155,11 @@ def _feature_record(line: str) -> FeatureRecord:
     obj = json.loads(line)
     if not isinstance(obj["id"], str):
         raise TypeError(f"id must be a JSON string, found {obj['id']!r}")
-    return FeatureRecord(id=obj["id"], modality=obj["modality"], vector=obj["vector"])
+    vector = obj["vector"]
+    if isinstance(vector, list) and not set(map(type, vector)) <= {int, float}:  # json's types of a number
+        bad = next(v for v in vector if type(v) not in (int, float))
+        raise TypeError(f"vector entry {json.dumps(bad)} is not a JSON number")
+    return FeatureRecord(id=obj["id"], modality=obj["modality"], vector=vector)
 
 
 def load_features(path: str | Path) -> list[FeatureRecord]:
@@ -244,14 +249,15 @@ def save_qrels(qrels: Mapping[str, set[str]], path: str | Path) -> None:
 def load_pairs_and_qrels(
     pairs_path: str | Path,
     qrels_path: str | Path | None = None,
-    modality_of: Mapping[str, str] | None = None,
+    *,
+    modality_of: Mapping[str, str],
 ) -> tuple[list[PairedExample], RelevanceJudgments]:
     """Read pairs (and qrels, if present) from tab-separated files.
 
     Without a qrels file, each pair's partner is its sole relevant document
-    in both directions.  When `modality_of` (known id -> its modality) is
-    given, any id not in it, and a pair whose text or image side names a
-    record of the other modality, is a data error naming the file and line.
+    in both directions.  Any id not in `modality_of` (known id -> its
+    modality), and a pair whose text or image side names a record of the
+    other modality, is a data error naming the file and line.
     """
     pairs: list[PairedExample] = []
     seen_rows: set[tuple[str, str]] = set()
@@ -265,12 +271,11 @@ def load_pairs_and_qrels(
             if (text_id, image_id) in seen_rows:
                 raise DataError(f"duplicate pair {text_id} -> {image_id}", line=lineno)
             seen_rows.add((text_id, image_id))
-            if modality_of is not None:
-                for id_, side in ((text_id, TEXT), (image_id, IMAGE)):
-                    if id_ not in modality_of:
-                        raise DataError(f"unknown id {id_!r}", line=lineno)
-                    if modality_of[id_] != side:
-                        raise DataError(f"{side} id {id_!r} is a {modality_of[id_]} record", line=lineno)
+            for id_, side in ((text_id, TEXT), (image_id, IMAGE)):
+                if id_ not in modality_of:
+                    raise DataError(f"unknown id {id_!r}", line=lineno)
+                if modality_of[id_] != side:
+                    raise DataError(f"{side} id {id_!r} is a {modality_of[id_]} record", line=lineno)
             pairs.append(PairedExample(text_id=text_id, image_id=image_id, label=label))
         if not pairs:
             raise DataError("no pairs found")
@@ -289,7 +294,7 @@ def load_pairs_and_qrels(
                 raise DataError("expected 'query<TAB>doc<TAB>0|1'", line=lineno)
             qid, doc, rel = fields
             for id_ in (qid, doc):
-                if modality_of is not None and id_ not in modality_of:
+                if id_ not in modality_of:
                     raise DataError(f"unknown id {id_!r}", line=lineno)
             if rel == "1":
                 qrels.setdefault(qid, set()).add(doc)

@@ -11,8 +11,9 @@ modality's rows in id order, their float32 copy and their blocks.
 `_topk_arrays` answers queries in blocks of rows, each in four steps: the
 "score cheaply, then re-rank exactly" of ScaNN (Guo et al., ICML 2020)
 made exact by a rounding bound, after a ball bound drops rows that cannot
-reach the top-k.  Steps 0-3 are written for `_topk_block`, the kernel of a
-block of two or more queries; a block of one takes `_topk_one` (step 4):
+reach the top-k.  Steps 0-3 are written for `_topk_block`, the kernel of
+every block of queries, one query included; `query_topk` takes `_topk_one`
+(step 4):
 
 0. Blocks: `UnifiedIndex` cuts each side's rows, in id order, into
    blocks of BOUND_BLOCK_ROWS, the last also holding the remainder.  A
@@ -113,19 +114,20 @@ block of two or more queries; a block of one takes `_topk_one` (step 4):
    id order.  A band holds at least kk = min(k, candidates) rows, so one
    fancy index, `order[starts[:, None] + arange(kk)]` with `searchsorted`
    run starts, gives the results as (queries, kk) arrays of rows and scores.
-4. One query: the size of a block alone selects its kernel.  A block of one
-   query (a batch's last block when one query is left for it) takes
-   `_topk_one`, and so does every `query_topk` and `cross_media_search`
-   call, directly; a block of more keeps `_topk_block`, whose one matrix
-   product per screen serves the whole block faster than a `_topk_one`
-   call per row.  `_topk_one` shares every bound and rule of steps 0-3
-   with `_topk_block` through the same helpers: m (`_screen_margin`), M
-   (`_block_widths`, `_block_margin`), the float32 ceiling and the floor
-   at or below -1 (`_ceil32`, `_floor32`), the keep rule and the 3/4 rule
-   (`_kept_blocks`, `_block_floor`), and the gather (`_kept_rows`).  It
-   differs only in form.  Its norm, L, k-th screened score and band floor
-   are Python floats, and its centre screen and row screen are 1-D float32
-   products.  Its band is one boolean index of the gathered index rows,
+4. One query: each search API has one kernel.  Every `query_topk` and
+   `cross_media_search` call takes `_topk_one`.  Every block of
+   `_topk_arrays` takes `_topk_block`, whose one matrix product per screen
+   serves a block faster than a `_topk_one` call per row; a block of one
+   query (a batch's last block when one query is left for it) takes it
+   too, and gets the bits `_topk_one` gives that query.  `_topk_one`
+   shares every bound and rule of steps 0-3 with `_topk_block` through the
+   same helpers: m (`_screen_margin`), M (`_block_widths`,
+   `_block_margin`), the float32 ceiling and the floor at or below -1
+   (`_ceil32`, `_floor32`), the keep rule and the 3/4 rule (`_kept_blocks`,
+   `_block_floor`), and the gather (`_kept_rows`).  It differs only in
+   form.  Its norm, L, k-th screened score and band floor are Python
+   floats, and its centre screen and row screen are 1-D float32 products.
+   Its band is one boolean index of the gathered index rows,
    `rows[screened >= floor]`.  Those rows ascend by id, so one stable
    argsort by -score orders them with ties in id order: it needs no
    divmod, query key or searchsorted.
@@ -408,13 +410,7 @@ def _topk_arrays(
     if kk == 0:  # no candidates: every run is empty
         return np.zeros((len(unit), 0), dtype=np.intp), np.zeros((len(unit), 0))
     step = max(1, SCORE_BLOCK_BYTES // (8 * len(side.rows)))
-    # a block's size selects its kernel: one query takes `_topk_one`, more take `_topk_block`
-    runs = [_topk_block(index, side, block, kk) if len(block) > 1 else
-            tuple(run[None] for run in _topk_one(index, side, block[0], kk))
-            for block in (unit[start:start + step] for start in range(0, len(unit), step))]
-    if len(runs) == 1:
-        return runs[0]
-    rows, scores = zip(*runs)
+    rows, scores = zip(*(_topk_block(index, side, unit[at:at + step], kk) for at in range(0, len(unit), step)))
     return np.concatenate(rows), np.concatenate(scores)
 
 
@@ -534,8 +530,8 @@ def _kept_rows(side: Side, keep: np.ndarray | None) -> tuple[np.ndarray, np.ndar
 
 
 def _topk_block(index: UnifiedIndex, side: Side, unit: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Screen, band and re-score one block of finite unit queries against a side (module docstring)
-    for their kk best."""
+    """Screen, band and re-score one block of finite unit queries, of any size, against a side
+    (module docstring, steps 0-3) for their kk best, as (queries, kk) arrays of rows and scores."""
     unit32, q_norms = unit.astype(np.float32), _dot_norms(unit)
     candidates, kept = _kept_rows(side, _kept_blocks(side, unit32, q_norms, kk))
     screened = unit32 @ candidates.T

@@ -606,7 +606,7 @@ def test_eval_report_does_not_depend_on_record_or_pair_order(ordered_report, tmp
     assert eval_report(base / "model.json", work, work) == expected
 
 
-def test_seed_env_fallback(synth_dir, tmp_path, monkeypatch):
+def test_an_unseeded_train_takes_seed_0(synth_dir, tmp_path):
     base = [
         "train",
         "--text-features", synth_dir / "text_features.jsonl",
@@ -614,36 +614,12 @@ def test_seed_env_fallback(synth_dir, tmp_path, monkeypatch):
         "--pairs", synth_dir / "pairs.tsv",
         "--epochs", "1", "--hidden-dims", "8", "--unified-dim", "4",
     ]
-    flagged = tmp_path / "flag.json"
-    via_env = tmp_path / "env.json"
-    unseeded = tmp_path / "none.json"
+    flagged, zero, unseeded = tmp_path / "flag.json", tmp_path / "zero.json", tmp_path / "none.json"
     assert run(base + ["--seed", "77", "--out", flagged]) == 0
-    monkeypatch.setenv("CARDL_SEED", "77")
-    assert run(base + ["--out", via_env]) == 0
-    monkeypatch.delenv("CARDL_SEED")
+    assert run(base + ["--seed", "0", "--out", zero]) == 0
     assert run(base + ["--out", unseeded]) == 0
-
-    def weights(path):
-        return read_file(path)[1].tobytes()
-
-    assert weights(flagged) == weights(via_env)  # env var supplies the seed
-    assert weights(flagged) != weights(unseeded)  # fallback default is seed 0
-
-
-def test_seed_env_must_be_integer(synth_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CARDL_SEED", "lucky")
-    rc = run(
-        [
-            "train",
-            "--text-features", synth_dir / "text_features.jsonl",
-            "--image-features", synth_dir / "image_features.jsonl",
-            "--pairs", synth_dir / "pairs.tsv",
-            "--epochs", "1", "--hidden-dims", "8", "--unified-dim", "4",
-            "--out", tmp_path / "m.json",
-        ]
-    )
-    assert rc == 1
-    assert "CARDL_SEED" in capsys.readouterr().err
+    assert unseeded.read_bytes() == zero.read_bytes()  # TrainConfig().seed
+    assert read_file(flagged)[1].tobytes() != read_file(unseeded)[1].tobytes()
 
 
 def unified_corpus(synth_dir, tmp_path):
@@ -732,18 +708,18 @@ def test_eval_on_an_index_with_no_candidates_for_a_direction_names_the_index(syn
 
 
 def test_parsed_defaults_are_the_library_defaults():
-    """Each CLI default is the library's; the seeds alone differ, since an
-    unseeded CLI run takes CARDL_SEED, then 0."""
+    """Each CLI default is the library's, the seeds included."""
     parse = build_parser().parse_args
     synth, expected = vars(parse(["synth", "--out-dir", "d"])), asdict(SyntheticConfig())
-    del expected["seed"]
     assert {name: synth[name] for name in expected} == expected
     train = vars(parse(["train", "--text-features", "t", "--image-features", "i", "--pairs", "p", "--out", "m"]))
-    read = ("epochs", "batch_size", "learning_rate", "temperature", "unified_dim")
+    read = ("epochs", "batch_size", "learning_rate", "temperature", "unified_dim", "seed")
     assert TrainConfig(**{name: train[name] for name in read},
                        hidden_dims=_parse_int_list(train["hidden_dims"], "--hidden-dims")) == TrainConfig()
     pairhead = vars(parse(["pairhead-train", "--features", "f", "--pairs", "p", "--out", "h"]))
-    assert (pairhead["batch_size"], pairhead["learning_rate"]) == (TrainConfig().batch_size, TrainConfig().learning_rate)
+    config = TrainConfig()
+    assert (pairhead["batch_size"], pairhead["learning_rate"], pairhead["seed"]) == (
+        config.batch_size, config.learning_rate, config.seed)
     evaluate = vars(parse(["eval", "--index", "x", "--model", "m", "--text-features", "t",
                            "--image-features", "i", "--pairs", "p"]))
     assert tuple(_parse_int_list(evaluate["k_list"], "--k-list")) == DEFAULT_K_LIST
@@ -810,6 +786,24 @@ def test_embed_names_the_feature_file_of_a_record_that_does_not_fit_its_head(syn
     assert run(["embed", "--model", model_path, "--features", features, "--out", tmp_path / "o.jsonl"]) == 2
     err = capsys.readouterr().err
     assert f"{features}: record {record['id']!r}: image vector has dim 12, model expects 16" in err
+
+
+@pytest.mark.parametrize("vector, message", [
+    ('["1.5",true,2]', 'malformed record: vector entry "1.5" is not a JSON number'),
+    ("[1" + "0" * 400 + ",2,3]", "malformed record: int too large to convert to float"),
+], ids=["not numbers", "beyond the float range"])
+def test_a_feature_entry_that_is_no_float_is_a_data_error_naming_file_and_line(tmp_path, capsys, vector, message):
+    index_path, model_path, features = tmp_path / "index.json", tmp_path / "model.json", tmp_path / "f.jsonl"
+    save_index(build_index([("t0", "text", [1.0, 0.0, 0.0]), ("i0", "image", [0.0, 1.0, 0.0])]), index_path)
+    save_model(linear_model(np.eye(3), np.eye(3)), model_path)
+    features.write_text('{"id":"i0","modality":"image","vector":[0.0,1.0,0.0]}\n'
+                        f'{{"id":"t0","modality":"text","vector":{vector}}}\n')
+    assert run(["index", "--vectors", features, "--out", tmp_path / "out.json"]) == 2
+    assert f"cardl: error: {features}: line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+    assert run(["query", "--index", index_path, "--model", model_path, "--features", features,
+                "--id", "t0", "--direction", "txt2img"]) == 2
+    assert f"cardl: error: {features}: line 2: {message}" in capsys.readouterr().err
 
 
 def test_one_parser_serves_every_call_and_carries_nothing_between_them(tmp_path, capsys, monkeypatch):

@@ -134,6 +134,29 @@ def test_features_refuse_an_id_that_is_not_a_string(tmp_path):
             load_features(path)
 
 
+def test_features_refuse_vector_entries_that_are_not_json_numbers(tmp_path):
+    path = tmp_path / "f.jsonl"
+    for vector, found in (('["1.5",true,2]', '"1.5"'), ("[1.5,true,2]", "true"), ("[1,null]", "null"),
+                          ("[[1.0]]", r"\[1\.0\]")):
+        path.write_text('{"id":"a","modality":"text","vector":[1.0]}\n'
+                        f'{{"id":"b","modality":"text","vector":{vector}}}\n')
+        message = rf"f\.jsonl: line 2: malformed record: vector entry {found} is not a JSON number"
+        for read in (load_features, lambda p: dataio.find_feature(p, "b")):
+            with pytest.raises(DataError, match=message):
+                read(path)
+    path.write_text('{"id":"a","modality":"text","vector":[1,2.5,-0,1e3]}\n')
+    assert load_features(path)[0].vector.tolist() == [1.0, 2.5, 0.0, 1000.0]  # JSON ints are numbers
+
+
+def test_features_refuse_an_integer_beyond_the_float_range(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"id":"a","modality":"text","vector":[1.0]}\n{"id":"b","modality":"text","vector":[1%s]}\n'
+                    % ("0" * 400))
+    for read in (load_features, lambda p: dataio.find_feature(p, "b")):
+        with pytest.raises(DataError, match=r"f\.jsonl: line 2: malformed record: int too large to convert to float"):
+            read(path)
+
+
 def test_find_feature_equals_the_loaded_record(tmp_path):
     texts, images = small_records()
     path = tmp_path / "f.jsonl"
@@ -256,12 +279,16 @@ def test_text_files_that_are_not_utf8_are_data_errors_naming_the_file(tmp_path):
     byte is on such a line here."""
     path = tmp_path / "f.jsonl"
     path.write_bytes(b'{"id":"a","modality":"t\xffxt","vector":[1.0]}\n')
-    for read in (load_features, lambda p: dataio.find_feature(p, "a"), load_pairs_and_qrels):
+    for read in (load_features, lambda p: dataio.find_feature(p, "a"),
+                 lambda p: load_pairs_and_qrels(p, modality_of={})):
         with pytest.raises(DataError, match=r"f\.jsonl: cannot read: 'utf-8' codec can't decode"):
             read(path)
 
 
 # ------------------------------------------------------------ pairs, qrels --
+
+KNOWN = {"t0": "text", "t1": "text", "i0": "image", "i1": "image"}  # id -> modality of the pairs below
+
 
 def test_pairs_round_trip_with_labels(tmp_path):
     pairs = [
@@ -270,7 +297,7 @@ def test_pairs_round_trip_with_labels(tmp_path):
     ]
     path = tmp_path / "p.tsv"
     save_pairs(pairs, path)
-    back, _ = load_pairs_and_qrels(path)
+    back, _ = load_pairs_and_qrels(path, modality_of=KNOWN)
     assert [(p.text_id, p.image_id, p.label) for p in back] == [
         ("t0", "i0", None),
         ("t1", "i1", "optics"),
@@ -280,7 +307,7 @@ def test_pairs_round_trip_with_labels(tmp_path):
 def test_pairs_derive_partner_qrels(tmp_path):
     path = tmp_path / "p.tsv"
     save_pairs([PairedExample("t0", "i0"), PairedExample("t1", "i1")], path)
-    _, qrels = load_pairs_and_qrels(path)
+    _, qrels = load_pairs_and_qrels(path, modality_of=KNOWN)
     assert qrels == {"t0": {"i0"}, "i0": {"t0"}, "t1": {"i1"}, "i1": {"t1"}}
 
 
@@ -289,7 +316,7 @@ def test_qrels_file_overrides_and_drops_zero_rows(tmp_path):
     qpath = tmp_path / "q.tsv"
     save_pairs([PairedExample("t0", "i0"), PairedExample("t1", "i1")], ppath)
     qpath.write_text("t0\ti0\t1\nt0\ti1\t1\nt1\ti1\t0\n")
-    _, qrels = load_pairs_and_qrels(ppath, qpath)
+    _, qrels = load_pairs_and_qrels(ppath, qpath, modality_of=KNOWN)
     assert qrels == {"t0": {"i0", "i1"}}  # the rel=0 row contributes nothing
 
 
@@ -297,7 +324,7 @@ def test_pairs_duplicate_row_rejected(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text("t0\ti0\nt0\ti0\n")
     with pytest.raises(DataError, match="line 2"):
-        load_pairs_and_qrels(path)
+        load_pairs_and_qrels(path, modality_of=KNOWN)
 
 
 def test_pairs_unknown_id_rejected_with_known_ids(tmp_path):
@@ -311,7 +338,7 @@ def test_pairs_malformed_field_count(tmp_path):
     path = tmp_path / "p.tsv"
     path.write_text("t0\n")
     with pytest.raises(DataError):
-        load_pairs_and_qrels(path)
+        load_pairs_and_qrels(path, modality_of=KNOWN)
 
 
 def test_qrels_bad_relevance_flag(tmp_path):
@@ -320,7 +347,7 @@ def test_qrels_bad_relevance_flag(tmp_path):
     save_pairs([PairedExample("t0", "i0")], ppath)
     qpath.write_text("t0\ti0\tmaybe\n")
     with pytest.raises(DataError):
-        load_pairs_and_qrels(ppath, qpath)
+        load_pairs_and_qrels(ppath, qpath, modality_of=KNOWN)
 
 
 def test_save_qrels_round_trip(tmp_path):

@@ -779,8 +779,8 @@ def test_ceil32_leaves_a_float32_value_as_it_is():
 def test_each_row_of_a_batched_search_equals_the_one_query_kernel(
     small_blocks, seed, n, clusters, interleaved, few, k, n_queries, delta
 ):
-    """The batched kernel's answer for each row of a block of queries, and the one-query
-    kernel's for that row alone, bit for bit: on sides of rows in clusters by id and of no
+    """The batched kernel's answer for each row of a block of queries, its answer for a
+    block of that row alone, and the one-query kernel's (`query_topk`), bit for bit: on sides of rows in clusters by id and of no
     multiple of BOUND_BLOCK_ROWS, a side of `few` rows and no blocks where ids do not
     interleave, k above 16 (the floor is a lower need-th best bound) or above the
     candidates, and exact and near ties of the first query around it."""
@@ -802,14 +802,15 @@ def test_each_row_of_a_batched_search_equals_the_one_query_kernel(
          mock.patch.object(retrieval, "_topk_block", wraps=retrieval._topk_block) as block:
         for modality in ("text", "image"):
             candidates = len(index.sides[modality].rows)
-            # one block of every query, then each query alone
+            # one block of every query, then each query as a block of one, then each query alone
             with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", 8 * max(1, candidates) * n_queries):
                 batched = topk_hex(index, queries, k, modality)
-                alone = [topk_hex(index, q[None], k, modality)[0] for q in queries]
-            assert batched == alone
+                single = [topk_hex(index, q[None], k, modality)[0] for q in queries]
+            alone = [[(r.rank, r.id, r.score.hex()) for r in query_topk(index, q, k, modality)] for q in queries]
+            assert batched == single == alone
             assert all(len(run) == min(k, candidates) for run in alone)
             assert alone[0] == full_sort_hex(index, queries[0], modality)[:k]
-    assert one.call_count == 2 * n_queries and block.call_count == 2
+    assert one.call_count == 2 * n_queries and block.call_count == 2 + 2 * n_queries
 
 
 def test_the_one_query_kernel_gathers_a_kept_last_block_with_its_remainder(small_blocks, kept):
